@@ -1,10 +1,18 @@
 //! The cycle engine: Equations (1)–(4) with per-cycle cost accounting.
+//!
+//! A processor is split along the line the hardware draws. The
+//! [`Template`] is what programming the STE and routing arrays fixes
+//! once — matrices, routing fabric, cost model — and is shared behind an
+//! `Arc` by every stream over the automaton. A [`Lane`] is one stream's
+//! private state, and [`Lane::feed`] is the single per-symbol kernel that
+//! both [`AutomataProcessor`] and [`MultiStreamProcessor`] run.
 
 use crate::routing::FollowScratch;
-use crate::{ApBackend, ApCosts, ApError, Routing, RoutingKind};
+use crate::{ApBackend, ApCosts, ApError, MultiStreamProcessor, Routing, RoutingKind};
 use memcim_automata::{ApMatrices, HomogeneousAutomaton};
 use memcim_bits::BitVec;
 use memcim_units::{Joules, Seconds};
+use std::sync::Arc;
 
 /// A report event or run summary cost line.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -26,6 +34,12 @@ impl ApReport {
             Joules::new(self.energy.as_joules() / self.cycles as f64)
         }
     }
+
+    /// The cumulative report of `cycles` symbol cycles that dissipated
+    /// `energy` joules.
+    pub(crate) fn streamed(costs: &ApCosts, cycles: u64, energy: f64) -> Self {
+        Self { cycles, latency: costs.cycle_latency * cycles as f64, energy: Joules::new(energy) }
+    }
 }
 
 /// The outcome of one input run.
@@ -39,6 +53,192 @@ pub struct ApRun {
     pub symbols: u64,
     /// Cost summary.
     pub report: ApReport,
+}
+
+/// The compiled, immutable part of a processor: the programmed STE and
+/// routing arrays and the cost model derived from them.
+#[derive(Debug)]
+pub(crate) struct Template {
+    matrices: ApMatrices,
+    pub(crate) routing: Routing,
+    backend: ApBackend,
+    pub(crate) costs: ApCosts,
+    /// `ste_ones[b]` = number of STE columns that discharge on symbol
+    /// `b` — the per-symbol STE energy is a table lookup instead of a
+    /// popcount over the row.
+    ste_ones: Vec<u32>,
+    /// Whether an all-zero active vector can come back to life after
+    /// position 0 (i.e. the automaton has `all_input` states). When
+    /// false, a dead stream is charged STE discharge per symbol but
+    /// skips routing, follow and accept work entirely.
+    revivable: bool,
+}
+
+impl Template {
+    /// See [`AutomataProcessor::compile`].
+    pub(crate) fn compile(
+        automaton: &HomogeneousAutomaton,
+        backend: ApBackend,
+        routing: RoutingKind,
+    ) -> Result<Arc<Self>, ApError> {
+        let n = automaton.state_count();
+        if n == 0 {
+            return Err(ApError::EmptyAutomaton);
+        }
+        if n > backend.capacity {
+            return Err(ApError::CapacityExceeded { states: n, capacity: backend.capacity });
+        }
+        let matrices = automaton.to_matrices();
+        let routing = Routing::compile(&matrices.r, routing)?;
+        let costs = backend.costs(n, routing.resources().config_bits);
+        let ste_ones = (0..256).map(|b| matrices.v.row(b).count_ones() as u32).collect();
+        let revivable = matrices.all_input.any();
+        Ok(Arc::new(Self { matrices, routing, backend, costs, ste_ones, revivable }))
+    }
+
+    /// A fresh stream over this automaton.
+    pub(crate) fn lane(&self) -> Lane {
+        let n = self.matrices.state_count();
+        Lane {
+            active: BitVec::new(n),
+            follow: BitVec::new(n),
+            pos: 0,
+            accept_events: Vec::new(),
+            energy: 0.0,
+            last_accepting: false,
+        }
+    }
+}
+
+/// One stream's private state: the double-buffered active/follow
+/// vectors, the stream position, and what the stream has reported and
+/// dissipated so far.
+#[derive(Debug, Clone)]
+pub(crate) struct Lane {
+    /// Current active vector `a`.
+    active: BitVec,
+    /// Double buffer for the follow vector `f`; swapped with `active`
+    /// each cycle instead of reallocated.
+    follow: BitVec,
+    /// Symbols consumed since the last reset.
+    pub(crate) pos: u64,
+    accept_events: Vec<(usize, usize)>,
+    pub(crate) energy: f64,
+    last_accepting: bool,
+}
+
+impl Lane {
+    /// Clears the stream state; the buffers keep their storage.
+    pub(crate) fn reset(&mut self) {
+        self.active.clear();
+        self.pos = 0;
+        self.accept_events.clear();
+        self.energy = 0.0;
+        self.last_accepting = false;
+    }
+
+    /// The per-symbol kernel: streams one chunk through the pipeline of
+    /// the paper's Fig. 6, continuing from the lane's position.
+    pub(crate) fn feed(&mut self, t: &Template, scratch: &mut FollowScratch, chunk: &[u8]) {
+        let ste_energy = t.costs.ste_energy_per_column.as_joules();
+        let routing_energy = t.costs.routing_energy_per_column.as_joules();
+        // Hot scalars live in locals for the duration of the chunk —
+        // accumulating through `self` would force a reload/store per
+        // symbol around every `&mut self`-field call.
+        let ste_ones = &t.ste_ones;
+        let v = &t.matrices.v;
+        let ai_words = t.matrices.all_input.as_words();
+        let acc_words = t.matrices.accept.as_words();
+        let revivable = t.revivable;
+        let mut energy = self.energy;
+        let mut pos = self.pos;
+        let mut last_accepting = self.last_accepting;
+        // Tracked across cycles so the steady state never re-scans the
+        // active vector: the fused pass below recomputes it for free.
+        let mut active_any = self.active.any();
+        for (i, &byte) in chunk.iter().enumerate() {
+            // Dead stream: past position 0 with no active states and no
+            // `all_input` revival, the active vector stays empty for the
+            // rest of the stream. The STE array still discharges on
+            // every symbol (the energy model is unchanged — a table
+            // lookup per byte), but routing, follow and the accept scan
+            // are skipped wholesale.
+            if !active_any && !revivable && pos > 0 {
+                for &b in &chunk[i..] {
+                    energy += ste_ones[b as usize] as f64 * ste_energy;
+                }
+                pos += (chunk.len() - i) as u64;
+                last_accepting = false;
+                break;
+            }
+
+            // Step 1 — input symbol processing (Equation 1): one STE-array
+            // evaluate. Discharge-proportional energy: columns whose bit
+            // line falls are the ones that match the symbol, precounted
+            // per symbol at compile time.
+            energy += ste_ones[byte as usize] as f64 * ste_energy;
+
+            // Step 2 — active state processing (Equations 2 and 3), into
+            // the reused follow buffer. An empty active vector routes to
+            // an empty follow vector with zero discharge, so the fabric
+            // walk is skipped outright.
+            if active_any {
+                t.routing.follow_into(&self.active, &mut self.follow, scratch);
+                energy += self.follow.count_ones() as f64 * routing_energy;
+            } else {
+                self.follow.clear();
+            }
+            if pos == 0 {
+                self.follow.or_assign(&t.matrices.start_of_input);
+            }
+
+            // Steps 2b and 3, fused into a single word pass:
+            // `f = (f | all_input) & s` (Equation 3), its emptiness for
+            // the next cycle's skip decisions, and output identification
+            // (Equation 4) — a word-AND with the accept mask, iterating
+            // ones only in live words.
+            last_accepting = false;
+            let s_words = v.row(byte as usize).as_words();
+            let mut any = 0u64;
+            let f_words = self.follow.as_words_mut();
+            for wi in 0..f_words.len() {
+                let w = (f_words[wi] | ai_words[wi]) & s_words[wi];
+                f_words[wi] = w;
+                any |= w;
+                let mut live = w & acc_words[wi];
+                while live != 0 {
+                    let state = wi * 64 + live.trailing_zeros() as usize;
+                    self.accept_events.push((pos as usize, state));
+                    last_accepting = true;
+                    live &= live - 1;
+                }
+            }
+            std::mem::swap(&mut self.active, &mut self.follow);
+            active_any = any != 0;
+            pos += 1;
+        }
+        self.energy = energy;
+        self.pos = pos;
+        self.last_accepting = last_accepting;
+    }
+
+    /// The cumulative cost report for the stream so far.
+    pub(crate) fn report(&self, costs: &ApCosts) -> ApReport {
+        ApReport::streamed(costs, self.pos, self.energy)
+    }
+
+    /// Ends the stream: returns its cumulative [`ApRun`] and resets the
+    /// lane for the next stream.
+    pub(crate) fn finish(&mut self, t: &Template) -> ApRun {
+        let run = ApRun {
+            accepted: if self.pos == 0 { t.matrices.accepts_empty } else { self.last_accepting },
+            accept_events: std::mem::take(&mut self.accept_events),
+            symbols: self.pos,
+            report: self.report(&t.costs),
+        };
+        self.reset();
+        run
+    }
 }
 
 /// A homogeneous automaton mapped onto AP hardware.
@@ -61,30 +261,21 @@ pub struct ApRun {
 /// See the [crate-level example](crate).
 #[derive(Debug, Clone)]
 pub struct AutomataProcessor {
-    pub(crate) matrices: ApMatrices,
-    pub(crate) routing: Routing,
-    pub(crate) backend: ApBackend,
-    pub(crate) costs: ApCosts,
-    /// `ste_ones[b]` = number of STE columns that discharge on symbol
-    /// `b` — the per-symbol STE energy is a table lookup instead of a
-    /// popcount over the row.
-    pub(crate) ste_ones: Vec<u32>,
-    /// Whether an all-zero active vector can come back to life after
-    /// position 0 (i.e. the automaton has `all_input` states). When
-    /// false, a dead stream is charged STE discharge per symbol but
-    /// skips routing, follow and accept work entirely.
-    pub(crate) revivable: bool,
-    /// Current active vector `a` (stream state).
-    active: BitVec,
-    /// Double buffer for the follow vector `f`; swapped with `active`
-    /// each cycle instead of reallocated.
-    follow: BitVec,
+    template: Arc<Template>,
+    lane: Lane,
     scratch: FollowScratch,
-    /// Symbols consumed since the last [`reset`](Self::reset).
-    pos: u64,
-    accept_events: Vec<(usize, usize)>,
-    energy: f64,
-    last_accepting: bool,
+}
+
+/// A processor compiled by [`AutomataProcessor::compile_or_dense`].
+#[derive(Debug, Clone)]
+pub struct RoutedProcessor {
+    /// The compiled processor.
+    pub processor: AutomataProcessor,
+    /// The hierarchical fabric ran out of global wires and the
+    /// processor routes through a dense `N×N` matrix instead:
+    /// functionally identical, but per-symbol routing cost scales with
+    /// the full crossbar rather than the two-level hierarchy.
+    pub fallback: bool,
 }
 
 impl AutomataProcessor {
@@ -101,68 +292,75 @@ impl AutomataProcessor {
         backend: ApBackend,
         routing: RoutingKind,
     ) -> Result<Self, ApError> {
-        let n = automaton.state_count();
-        if n == 0 {
-            return Err(ApError::EmptyAutomaton);
+        let template = Template::compile(automaton, backend, routing)?;
+        Ok(Self { lane: template.lane(), scratch: template.routing.scratch(), template })
+    }
+
+    /// Maps an automaton onto the Cache Automaton's hierarchical fabric
+    /// ([`RoutingKind::cache_automaton`]), recompiling onto
+    /// [`RoutingKind::Dense`] when the rule set is too entangled for its
+    /// global wires. The result says which fabric was used.
+    ///
+    /// # Errors
+    ///
+    /// The errors of [`compile`](Self::compile) other than
+    /// [`ApError::RoutingInfeasible`].
+    pub fn compile_or_dense(
+        automaton: &HomogeneousAutomaton,
+        backend: ApBackend,
+    ) -> Result<RoutedProcessor, ApError> {
+        match Self::compile(automaton, backend.clone(), RoutingKind::cache_automaton()) {
+            Ok(processor) => Ok(RoutedProcessor { processor, fallback: false }),
+            Err(ApError::RoutingInfeasible { .. }) => Ok(RoutedProcessor {
+                processor: Self::compile(automaton, backend, RoutingKind::Dense)?,
+                fallback: true,
+            }),
+            Err(e) => Err(e),
         }
-        if n > backend.capacity {
-            return Err(ApError::CapacityExceeded { states: n, capacity: backend.capacity });
-        }
-        let matrices = automaton.to_matrices();
-        let routing = Routing::compile(&matrices.r, routing)?;
-        let costs = backend.costs(n, routing.resources().config_bits);
-        let scratch = routing.scratch();
-        let ste_ones = (0..256).map(|b| matrices.v.row(b).count_ones() as u32).collect();
-        let revivable = matrices.all_input.any();
-        Ok(Self {
-            matrices,
-            routing,
-            backend,
-            costs,
-            ste_ones,
-            revivable,
-            active: BitVec::new(n),
-            follow: BitVec::new(n),
-            scratch,
-            pos: 0,
-            accept_events: Vec::new(),
-            energy: 0.0,
-            last_accepting: false,
-        })
+    }
+
+    /// Instantiates a multi-stream processor from this compiled
+    /// automaton: `streams` fresh lanes over the same shared template —
+    /// no matrix, fabric or cost table is copied. The template keeps its
+    /// own streaming state; the new processor starts clean.
+    pub fn multi_stream(&self, streams: usize) -> MultiStreamProcessor {
+        MultiStreamProcessor::from_template(Arc::clone(&self.template), streams)
     }
 
     /// The backend in use.
     pub fn backend(&self) -> &ApBackend {
-        &self.backend
+        &self.template.backend
     }
 
     /// Number of STEs occupied.
     pub fn state_count(&self) -> usize {
-        self.matrices.state_count()
+        self.template.matrices.state_count()
     }
 
     /// The derived per-cycle cost model.
     pub fn costs(&self) -> &ApCosts {
-        &self.costs
+        &self.template.costs
     }
 
     /// Routing fabric resource usage.
     pub fn routing_resources(&self) -> crate::RoutingResources {
-        self.routing.resources()
+        self.template.routing.resources()
     }
 
-    /// One-time cost of programming the STE array and routing switches.
+    /// One-time cost of programming the STE array and routing switches,
+    /// paid once however many streams then share the template.
     pub fn configuration_cost(&self) -> ApReport {
-        let ste_bits = self.matrices.v.count_ones();
-        let routing_bits = self.matrices.r.count_ones();
+        let t = &self.template;
+        let ste_bits = t.matrices.v.count_ones();
+        let routing_bits = t.matrices.r.count_ones();
         let bits = (ste_bits + routing_bits) as f64;
         // Rows are programmed in parallel across columns: 256 STE rows
         // plus the routing rows.
-        let rows = 256 + self.routing.resources().config_bits / self.state_count().max(1);
+        let rows = 256 + t.routing.resources().config_bits / self.state_count().max(1);
         ApReport {
             cycles: rows as u64,
-            latency: self.costs.config_latency_per_row * rows as f64,
-            energy: Joules::new(self.costs.config_energy_per_bit.as_joules() * bits),
+            latency: t.costs.config_latency_per_row * rows as f64,
+            energy: Joules::new(t.costs.config_energy_per_bit.as_joules() * bits),
         }
     }
 
@@ -179,11 +377,7 @@ impl AutomataProcessor {
     /// Clears the streaming state: active vector, position, accumulated
     /// report events and energy. The scratch buffers keep their storage.
     pub fn reset(&mut self) {
-        self.active.clear();
-        self.pos = 0;
-        self.accept_events.clear();
-        self.energy = 0.0;
-        self.last_accepting = false;
+        self.lane.reset();
     }
 
     /// Streams one chunk of input through the pipeline, continuing from
@@ -222,110 +416,15 @@ impl AutomataProcessor {
     /// # }
     /// ```
     pub fn feed(&mut self, chunk: &[u8]) -> ApReport {
-        let ste_energy = self.costs.ste_energy_per_column.as_joules();
-        let routing_energy = self.costs.routing_energy_per_column.as_joules();
-        // Hot scalars live in locals for the duration of the chunk —
-        // accumulating through `self` would force a reload/store per
-        // symbol around every `&mut self`-field call.
-        let ste_ones = &self.ste_ones;
-        let v = &self.matrices.v;
-        let ai_words = self.matrices.all_input.as_words();
-        let acc_words = self.matrices.accept.as_words();
-        let revivable = self.revivable;
-        let mut energy = self.energy;
-        let mut pos = self.pos;
-        let mut last_accepting = self.last_accepting;
-        // Tracked across cycles so the steady state never re-scans the
-        // active vector: the fused pass below recomputes it for free.
-        let mut active_any = self.active.any();
-        for (i, &byte) in chunk.iter().enumerate() {
-            // Dead stream: past position 0 with no active states and no
-            // `all_input` revival, the active vector stays empty for the
-            // rest of the stream. The STE array still discharges on
-            // every symbol (the energy model is unchanged — a table
-            // lookup per byte), but routing, follow and the accept scan
-            // are skipped wholesale.
-            if !active_any && !revivable && pos > 0 {
-                for &b in &chunk[i..] {
-                    energy += ste_ones[b as usize] as f64 * ste_energy;
-                }
-                pos += (chunk.len() - i) as u64;
-                last_accepting = false;
-                break;
-            }
-
-            // Step 1 — input symbol processing (Equation 1): one STE-array
-            // evaluate. Discharge-proportional energy: columns whose bit
-            // line falls are the ones that match the symbol, precounted
-            // per symbol at compile time.
-            energy += ste_ones[byte as usize] as f64 * ste_energy;
-
-            // Step 2 — active state processing (Equations 2 and 3), into
-            // the reused follow buffer. An empty active vector routes to
-            // an empty follow vector with zero discharge, so the fabric
-            // walk is skipped outright.
-            if active_any {
-                self.routing.follow_into(&self.active, &mut self.follow, &mut self.scratch);
-                energy += self.follow.count_ones() as f64 * routing_energy;
-            } else {
-                self.follow.clear();
-            }
-            if pos == 0 {
-                self.follow.or_assign(&self.matrices.start_of_input);
-            }
-
-            // Steps 2b and 3, fused into a single word pass:
-            // `f = (f | all_input) & s` (Equation 3), its emptiness for
-            // the next cycle's skip decisions, and output identification
-            // (Equation 4) — a word-AND with the accept mask, iterating
-            // ones only in live words.
-            last_accepting = false;
-            let s_words = v.row(byte as usize).as_words();
-            let mut any = 0u64;
-            let f_words = self.follow.as_words_mut();
-            for wi in 0..f_words.len() {
-                let w = (f_words[wi] | ai_words[wi]) & s_words[wi];
-                f_words[wi] = w;
-                any |= w;
-                let mut live = w & acc_words[wi];
-                while live != 0 {
-                    let state = wi * 64 + live.trailing_zeros() as usize;
-                    self.accept_events.push((pos as usize, state));
-                    last_accepting = true;
-                    live &= live - 1;
-                }
-            }
-            std::mem::swap(&mut self.active, &mut self.follow);
-            active_any = any != 0;
-            pos += 1;
-        }
-        self.energy = energy;
-        self.pos = pos;
-        self.last_accepting = last_accepting;
-        self.stream_report()
-    }
-
-    /// The cumulative cost report for the stream so far.
-    fn stream_report(&self) -> ApReport {
-        ApReport {
-            cycles: self.pos,
-            latency: self.costs.cycle_latency * self.pos as f64,
-            energy: Joules::new(self.energy),
-        }
+        self.lane.feed(&self.template, &mut self.scratch, chunk);
+        self.lane.report(&self.template.costs)
     }
 
     /// Ends the stream: returns the cumulative [`ApRun`] since the last
     /// [`reset`](Self::reset) and resets the processor for the next
     /// stream.
     pub fn finish(&mut self) -> ApRun {
-        let run = ApRun {
-            accepted: if self.pos == 0 { self.matrices.accepts_empty } else { self.last_accepting },
-            accept_events: std::mem::take(&mut self.accept_events),
-            symbols: self.pos,
-            report: self.stream_report(),
-        };
-        self.reset();
-        run
+        self.lane.finish(&self.template)
     }
 }
 

@@ -51,7 +51,7 @@ mod multi;
 mod routing;
 
 pub use backend::{ApBackend, ApCosts};
-pub use engine::{ApReport, ApRun, AutomataProcessor};
+pub use engine::{ApReport, ApRun, AutomataProcessor, RoutedProcessor};
 pub use error::ApError;
 pub use multi::MultiStreamProcessor;
 pub use routing::{FollowScratch, Routing, RoutingKind, RoutingResources};

@@ -135,11 +135,15 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
 
     // --- Multi-stream AP: 8 lanes through one compiled automaton -------
     // The same hierarchical automaton, but the traffic is sliced into 8
-    // independent streams driven in lockstep by a MultiStreamProcessor:
-    // each pass fetches the symbol-indexed STE rows once per *symbol
-    // column*, not once per stream, so ns/symbol should land below the
-    // single-stream `engine_hierarchical_RRAM-AP` number above. The
-    // lanes are fed chunk-by-chunk (as the serve layer does) and
+    // independent streams fed through one MultiStreamProcessor. The
+    // lanes share one configuration and one compiled template and run
+    // the single-stream lane kernel one after another: nothing is
+    // amortized per symbol. Each lane is an eighth of the traffic, and
+    // under all-input scanning active sets grow with stream length, so
+    // this config does less work per symbol than the single-stream
+    // `engine_hierarchical_RRAM-AP` number above. Like for like
+    // (perfbench's `ap_scan`, `perfbench/README.md`), `feed_many`
+    // costs 64 ns/symbol against 67 ns lane after lane. The lanes are
     // finished each iteration, so lane state never leaks across timed
     // passes.
     {

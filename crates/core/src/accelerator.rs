@@ -1,6 +1,6 @@
 //! High-level facade: regex rule sets on the RRAM automata processor.
 
-use memcim_ap::{ApBackend, ApReport, AutomataProcessor, RoutingKind};
+use memcim_ap::{ApBackend, ApReport, AutomataProcessor};
 use memcim_automata::{PatternSet, StartKind};
 use std::collections::HashMap;
 use std::error::Error;
@@ -65,19 +65,7 @@ impl RegexAccelerator {
         let set = PatternSet::compile(patterns)?;
         let (homog, owner_of_state) = set.to_homogeneous();
         let homog = homog.with_start_kind(StartKind::AllInput);
-        let processor = match AutomataProcessor::compile(
-            &homog,
-            backend.clone(),
-            RoutingKind::cache_automaton(),
-        ) {
-            Ok(p) => p,
-            // Dense fallback for rule sets too entangled for the
-            // two-level fabric.
-            Err(memcim_ap::ApError::RoutingInfeasible { .. }) => {
-                AutomataProcessor::compile(&homog, backend, RoutingKind::Dense)?
-            }
-            Err(e) => return Err(e.into()),
-        };
+        let processor = AutomataProcessor::compile_or_dense(&homog, backend)?.processor;
         Ok(Self { processor, owner_of_state, pattern_count: patterns.len() })
     }
 
@@ -111,6 +99,7 @@ impl RegexAccelerator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memcim_ap::{ApError, RoutingKind};
 
     #[test]
     fn end_to_end_rule_matching() {
@@ -149,5 +138,60 @@ mod tests {
         let s = sram.scan(&input);
         assert_eq!(r.matches, s.matches);
         assert!(r.report.energy.as_joules() < s.report.energy.as_joules());
+    }
+
+    /// A `+`-looped 40-way alternation wires every alternative's tail to
+    /// every alternative's head: more global wires at block 256 than the
+    /// Cache Automaton's 1024.
+    fn routing_infeasible_pattern() -> String {
+        let alts: Vec<String> = (0..40)
+            .map(|i: usize| {
+                format!(
+                    "{}{}{}{}{}",
+                    (b'a' + (i % 26) as u8) as char,
+                    (b'a' + (i / 26) as u8) as char,
+                    (b'0' + (i % 10) as u8) as char,
+                    (b'a' + ((i * 7) % 26) as u8) as char,
+                    (b'a' + ((i * 3) % 26) as u8) as char
+                )
+            })
+            .collect();
+        format!("({})+x", alts.join("|"))
+    }
+
+    #[test]
+    fn routing_infeasible_rule_sets_scan_like_a_dense_compile() {
+        let big = routing_infeasible_pattern();
+        let patterns = [big.as_str(), "abc"];
+        let mut accel = RegexAccelerator::rram(&patterns).expect("falls back to dense");
+
+        let (homog, owner_of_state) =
+            PatternSet::compile(&patterns).expect("parses").to_homogeneous();
+        let homog = homog.with_start_kind(StartKind::AllInput);
+        assert!(
+            matches!(
+                AutomataProcessor::compile(
+                    &homog,
+                    ApBackend::rram(),
+                    RoutingKind::cache_automaton()
+                ),
+                Err(ApError::RoutingInfeasible { .. })
+            ),
+            "the rule set must not fit the hierarchical fabric"
+        );
+        let mut dense = AutomataProcessor::compile(&homog, ApBackend::rram(), RoutingKind::Dense)
+            .expect("dense");
+
+        let input = b"zaa0aaba1hdxq abc aa0aax";
+        let outcome = accel.scan(input);
+        let run = dense.run(input);
+        let expected: Vec<(usize, usize)> = run
+            .accept_events
+            .iter()
+            .filter_map(|&(pos, state)| owner_of_state.get(&state).map(|&p| (pos, p)))
+            .collect();
+        assert_eq!(outcome.matched_patterns(), vec![0, 1]);
+        assert_eq!(outcome.matches, expected);
+        assert_eq!(outcome.report, run.report);
     }
 }

@@ -132,7 +132,6 @@ mod error;
 mod job;
 pub mod net;
 pub mod placement;
-mod queue;
 mod router;
 mod service;
 mod session;
@@ -144,7 +143,6 @@ pub use job::{
     ShardPartial, ShardedOutput, ShardedTicket, TenantId, Ticket,
 };
 pub use placement::{Catalog, PlacementConfig};
-pub use queue::{BoundedQueue, PushRefused};
 pub use service::{BoxedBackend, EngineFactory, ServeConfig, Service, TenantUsage};
 pub use session::ApOpenInfo;
 
@@ -158,7 +156,6 @@ mod tests {
     #[test]
     fn the_public_surface_is_thread_mobile() {
         assert_send_sync::<Service>();
-        assert_send_sync::<BoundedQueue<Job>>();
         assert_send::<Job>();
         assert_send::<Ticket>();
         assert_send::<ShardedTicket>();

@@ -14,13 +14,13 @@
 //! * [`admission`] — the gate *in front of* the bounded queue:
 //!   per-tenant authentication tokens, job quotas and token-bucket rate
 //!   limiting. An over-quota or over-rate submission is refused before
-//!   `BoundedQueue::push` could block, so one greedy client can stall
-//!   neither the accept loop nor another tenant's connection. `Submit`
-//!   programs are additionally verified *statically* against the engine
-//!   geometry — and, for tenants carrying a
-//!   [`TenantPolicy::with_energy_budget`], against their per-submission
-//!   static cost bound — before admission; see [`server`]'s
-//!   dispatch-order contract.
+//!   a push onto the service's work queue could block, so one greedy
+//!   client can stall neither the accept loop nor another tenant's
+//!   connection. `Submit` programs are additionally verified
+//!   *statically* against the engine geometry — and, for tenants
+//!   carrying a [`TenantPolicy::with_energy_budget`], against their
+//!   per-submission static cost bound — before admission; see
+//!   [`server`]'s dispatch-order contract.
 //! * [`server`] / [`client`] — [`NetServer`] (accept loop plus
 //!   one handler thread per connection, capped) and the blocking
 //!   [`NetClient`] used by the tests, the load generator and external

@@ -1,5 +1,6 @@
-//! A routed variant of [`BoundedQueue`](crate::BoundedQueue): one
-//! shared lane plus a targeted mailbox per worker.
+//! The service's one work queue: a bounded MPMC queue with blocking
+//! backpressure, made of one shared lane plus a targeted mailbox per
+//! worker under one mutex.
 //!
 //! Placement needs *directed* delivery — replica `r` of shard `s` lives
 //! on a specific worker, so a sharded sub-query must land on that
@@ -13,16 +14,22 @@
 //! consumer — a job routed to a dead engine is popped by its worker and
 //! re-routed through the catalog rather than stranded.
 //!
-//! Capacity bounds the *total* of all lanes, so backpressure behaves
-//! exactly like the plain queue's; `requeue_to` bypasses the bound the
-//! same way [`BoundedQueue::requeue`](crate::BoundedQueue::requeue)
-//! does, and with the same close-refusal contract (the regression suite
-//! below mirrors the queue's requeue-vs-close race test).
+//! Capacity bounds the *total* of all lanes. `requeue` and `requeue_to`
+//! bypass the bound but still refuse once the router is closed (the
+//! regression suite below races them against `close`).
 
-use crate::queue::PushRefused;
 use crate::sync;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
+
+/// Why a non-blocking push was refused; the item is handed back.
+#[derive(Debug)]
+pub(crate) enum PushRefused<T> {
+    /// The router is at capacity (backpressure signal).
+    Full(T),
+    /// The router has been closed.
+    Closed(T),
+}
 
 #[derive(Debug)]
 struct RouterState<T> {
@@ -285,11 +292,89 @@ mod tests {
         assert!(bystander.join().expect("joins").is_empty());
     }
 
-    /// Mirror of the queue's requeue-vs-close regression: a targeted
-    /// requeue racing close must land (and be drained by the owner) or
-    /// be handed back — never silently stranded.
     #[test]
-    fn requeue_to_racing_close_lands_or_returns_every_item() {
+    fn fifo_order_and_burst_cap() {
+        let r = WorkRouter::new(8, 1);
+        for i in 0..5 {
+            r.push(i).expect("open");
+        }
+        let mut sink = Vec::new();
+        assert!(r.pop_burst(0, 3, &mut sink));
+        assert_eq!(sink, vec![0, 1, 2]);
+        assert!(r.pop_burst(0, 10, &mut sink));
+        assert_eq!(sink, vec![0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn blocking_push_waits_for_space() {
+        let r = Arc::new(WorkRouter::new(1, 1));
+        r.push(0u32).expect("open");
+        let producer = {
+            let r = Arc::clone(&r);
+            thread::spawn(move || r.push(1).is_ok())
+        };
+        thread::sleep(std::time::Duration::from_millis(10));
+        let mut sink = Vec::new();
+        assert!(r.pop_burst(0, 1, &mut sink));
+        assert!(producer.join().expect("joins"), "push succeeded once space appeared");
+        assert!(r.pop_burst(0, 1, &mut sink));
+        assert_eq!(sink, vec![0, 1]);
+    }
+
+    #[test]
+    fn close_unblocks_consumers_after_drain() {
+        let r = Arc::new(WorkRouter::new(4, 1));
+        r.push("job").expect("open");
+        let consumer = {
+            let r = Arc::clone(&r);
+            thread::spawn(move || {
+                let mut sink = Vec::new();
+                let mut bursts = 0;
+                while r.pop_burst(0, 16, &mut sink) {
+                    bursts += 1;
+                }
+                (sink, bursts)
+            })
+        };
+        // Give the consumer a chance to drain, then close.
+        thread::sleep(std::time::Duration::from_millis(10));
+        r.close();
+        let (sink, bursts) = consumer.join().expect("joins");
+        assert_eq!(sink, vec!["job"]);
+        assert!(bursts >= 1);
+    }
+
+    #[test]
+    fn push_after_close_returns_the_item() {
+        let r: WorkRouter<u8> = WorkRouter::new(2, 2);
+        r.close();
+        assert_eq!(r.push(7), Err(7));
+        assert_eq!(r.push_to(1, 8), Err(8));
+        assert!(r.drain_remaining().is_empty());
+    }
+
+    #[test]
+    fn requeue_bypasses_capacity_but_not_close() {
+        let r = WorkRouter::new(1, 1);
+        r.push(0u8).expect("open");
+        assert!(matches!(r.try_push(1), Err(PushRefused::Full(1))));
+        r.requeue(2).expect("requeue over capacity");
+        assert_eq!(r.len(), 2);
+        let mut sink = Vec::new();
+        assert!(r.pop_burst(0, 4, &mut sink));
+        assert_eq!(sink, vec![0, 2]);
+        r.close();
+        assert_eq!(r.requeue(3), Err(3));
+    }
+
+    /// Regression: a requeue racing `close` must be all-or-nothing.
+    /// Consumers exit only once the router is closed *and* their lanes
+    /// are empty, so an item whose requeue reported `Ok` is always
+    /// popped by worker 1 before it exits; one refused with `Err` is
+    /// handed back so the caller can fail its ticket explicitly. No
+    /// third outcome — in particular, an `Ok` item silently stranded at
+    /// shutdown — may exist, whichever side wins the race.
+    fn requeue_racing_close(requeue: fn(&WorkRouter<u32>, u32) -> Result<(), u32>) {
         for round in 0..50u32 {
             let r: Arc<WorkRouter<u32>> = Arc::new(WorkRouter::new(2, 2));
             let owner = {
@@ -306,7 +391,7 @@ mod tests {
                     let mut landed = 0usize;
                     let mut returned = 0usize;
                     for i in 0..100u32 {
-                        match r.requeue_to(1, i) {
+                        match requeue(&r, i) {
                             Ok(()) => landed += 1,
                             Err(item) => {
                                 assert_eq!(item, i, "the refused item comes back intact");
@@ -326,5 +411,15 @@ mod tests {
             assert_eq!(landed + returned, 100, "every requeue resolved one way");
             assert_eq!(popped, landed, "every landed item was drained before the owner exited");
         }
+    }
+
+    #[test]
+    fn requeue_racing_close_lands_or_returns_every_item() {
+        requeue_racing_close(WorkRouter::requeue);
+    }
+
+    #[test]
+    fn requeue_to_racing_close_lands_or_returns_every_item() {
+        requeue_racing_close(|r, item| r.requeue_to(1, item));
     }
 }

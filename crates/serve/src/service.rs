@@ -4,8 +4,7 @@
 use crate::coalesce::{coalesce, Envelope, ShardRoute, Unit};
 use crate::job::{ticket_pair, Responder, ShardedTicket};
 use crate::placement::{Catalog, PlacementConfig};
-use crate::queue::PushRefused;
-use crate::router::WorkRouter;
+use crate::router::{PushRefused, WorkRouter};
 use crate::session::{ApOpenInfo, ApSession, CorrSession, SessionTable, StreamSession};
 use crate::sync;
 use crate::{

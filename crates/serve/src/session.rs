@@ -11,12 +11,12 @@
 //! the state inside the [`StreamSession`] differs.
 
 use crate::{sync, ServeError, SessionId, TenantId};
-use memcim_ap::{ApBackend, ApError, AutomataProcessor, MultiStreamProcessor, RoutingKind};
+use memcim_ap::{ApBackend, AutomataProcessor, MultiStreamProcessor};
 use memcim_automata::{PatternSet, StartKind};
 use memcim_mvp::correlation::CorrelationAccumulator;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// Bounded capacity of the per-table AP compile cache (templates, not
 /// sessions — a template is one compiled automaton plus its attribution
@@ -47,7 +47,7 @@ pub struct ApOpenInfo {
 pub(crate) struct ApSession {
     pub(crate) tenant: TenantId,
     pub(crate) processor: MultiStreamProcessor,
-    pub(crate) owner_of_state: HashMap<usize, usize>,
+    pub(crate) owner_of_state: Arc<HashMap<usize, usize>>,
     pub(crate) accounted_cycles: u64,
     pub(crate) accounted_energy: memcim_units::Joules,
     pub(crate) accounted_latency: memcim_units::Seconds,
@@ -115,13 +115,22 @@ enum Entry {
 
 /// One cached compile artifact: the single-stream template processor
 /// (sessions are stamped off it via [`AutomataProcessor::multi_stream`],
-/// which starts fresh lanes and a zero billing watermark), the pattern
-/// attribution map, and whether routing fell back to dense.
+/// which shares its compiled template and starts fresh lanes and a zero
+/// billing watermark), the shared pattern attribution map, and whether
+/// routing fell back to dense.
 #[derive(Debug)]
 struct ApTemplate {
     processor: AutomataProcessor,
-    owner_of_state: HashMap<usize, usize>,
+    owner_of_state: Arc<HashMap<usize, usize>>,
     routing_fallback: bool,
+}
+
+impl ApTemplate {
+    /// A fresh session's processor and attribution map, sharing the
+    /// template's compiled automaton, plus the fallback flag.
+    fn stamp(&self) -> (MultiStreamProcessor, Arc<HashMap<usize, usize>>, bool) {
+        (self.processor.multi_stream(1), Arc::clone(&self.owner_of_state), self.routing_fallback)
+    }
 }
 
 /// Bounded LRU of compile artifacts keyed by `(tenant, pattern list)`.
@@ -192,15 +201,12 @@ fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<ApTempl
         .into_iter()
         .filter_map(|(state, pattern)| remap[state].map(|new| (new, pattern)))
         .collect();
-    let (processor, routing_fallback) =
-        match AutomataProcessor::compile(&homog, backend.clone(), RoutingKind::cache_automaton()) {
-            Ok(p) => (p, false),
-            Err(ApError::RoutingInfeasible { .. }) => {
-                (AutomataProcessor::compile(&homog, backend.clone(), RoutingKind::Dense)?, true)
-            }
-            Err(e) => return Err(e.into()),
-        };
-    Ok(ApTemplate { processor, owner_of_state, routing_fallback })
+    let routed = AutomataProcessor::compile_or_dense(&homog, backend.clone())?;
+    Ok(ApTemplate {
+        processor: routed.processor,
+        owner_of_state: Arc::new(owner_of_state),
+        routing_fallback: routed.fallback,
+    })
 }
 
 impl SessionTable {
@@ -218,25 +224,19 @@ impl SessionTable {
         backend: &ApBackend,
     ) -> Result<(SessionId, ApOpenInfo), ServeError> {
         let key = (tenant, patterns.iter().map(|p| p.to_string()).collect::<Vec<String>>());
-        let cached = {
-            let mut cache = sync::lock(&self.compile_cache);
-            cache.get(&key).map(|t| {
-                (t.processor.multi_stream(1), t.owner_of_state.clone(), t.routing_fallback)
-            })
-        };
-        let (processor, owner_of_state, routing_fallback, cache_hit) = match cached {
-            Some((processor, owner, fallback)) => {
+        let cached = sync::lock(&self.compile_cache).get(&key).map(ApTemplate::stamp);
+        let cache_hit = cached.is_some();
+        let (processor, owner_of_state, routing_fallback) = match cached {
+            Some(stamped) => {
                 self.ap_cache_hits.fetch_add(1, Ordering::Relaxed);
-                (processor, owner, fallback, true)
+                stamped
             }
             None => {
                 self.ap_cache_misses.fetch_add(1, Ordering::Relaxed);
                 let template = compile_ap_template(patterns, backend)?;
-                let processor = template.processor.multi_stream(1);
-                let owner = template.owner_of_state.clone();
-                let fallback = template.routing_fallback;
+                let stamped = template.stamp();
                 sync::lock(&self.compile_cache).insert(key, template);
-                (processor, owner, fallback, false)
+                stamped
             }
         };
         if routing_fallback {
