@@ -61,6 +61,18 @@ impl BitMatrix {
         &self.data[row]
     }
 
+    /// Mutable access to a row's packed words, for word-parallel
+    /// writers. Bits at and above `cols()` must stay zero (the
+    /// [`BitVec::as_words_mut`] invariant).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row` is out of bounds.
+    pub fn row_words_mut(&mut self, row: usize) -> &mut [u64] {
+        assert!(row < self.rows, "row {row} out of bounds ({})", self.rows);
+        self.data[row].as_words_mut()
+    }
+
     /// Replaces a whole row.
     ///
     /// # Panics

@@ -18,6 +18,22 @@ use rand::SeedableRng;
 /// variability or faults attached, what you read is what the silicon
 /// would give you, not what you wrote.
 ///
+/// # Digital and analog sensing
+///
+/// An array with no [`VariabilityModel`] and no [`EnduranceModel`]
+/// holds ideal two-level cells, so its sense-amplifier output is a
+/// digital function of the stored bits. Such an array senses and
+/// programs a 64-column word at a time: stuck-at faults apply through
+/// the [`FaultMap`]'s per-row masks, and a read or scouting op folds
+/// the selected rows with OR / AND / XOR whenever the sense table —
+/// the decision for each count of ones among the selected cells, built
+/// from the same `Vr / R` terms and [`SenseThresholds`] — equals the
+/// gate's truth table and no reference sits within float rounding of a
+/// count's current. Otherwise, and always with variability or
+/// endurance attached, every column's current is summed cell by cell
+/// (the analog path). Both paths give the same bits and charge the
+/// [`OpLedger`] the same: the modeled hardware does the same work.
+///
 /// See the [crate-level example](crate) for typical use.
 pub struct Crossbar {
     rows: usize,
@@ -28,6 +44,8 @@ pub struct Crossbar {
     read_voltage: Volts,
     variability: Option<(VariabilityModel, Vec<DeviceSample>)>,
     endurance: Option<EnduranceModel>,
+    /// Per-cell wear, allocated when an endurance model is attached
+    /// (nothing else reads it).
     wear: Vec<WearState>,
     faults: FaultMap,
     ledger: OpLedger,
@@ -35,6 +53,17 @@ pub struct Crossbar {
     spare: Option<SparePool>,
     retired_rows: u64,
     rng: SmallRng,
+    /// `true` while cells are ideal two-level devices apart from
+    /// stuck-at faults (no variability, no endurance model): sensing
+    /// and programming may then run a word at a time.
+    digital: bool,
+    /// Per `(gate, selected rows)`: whether the sense table is the
+    /// gate's truth table, memoized on first use (a plain read is
+    /// `Or` over one row).
+    word_plans: Vec<(ScoutingKind, usize, bool)>,
+    /// The sense-amplifier outputs of the latest read or scouting op,
+    /// `cols` wide.
+    sensed: BitVec,
 }
 
 /// Spare-row repair bookkeeping: the last `reserved` physical rows are
@@ -93,13 +122,16 @@ impl Crossbar {
             read_voltage: Volts::from_millivolts(100.0),
             variability: None,
             endurance: None,
-            wear: vec![WearState::new(); rows * cols],
+            wear: Vec::new(),
             faults: FaultMap::new(),
             ledger: OpLedger::new(),
             endurance_failures: 0,
             spare: None,
             retired_rows: 0,
             rng: SmallRng::seed_from_u64(0x5EED),
+            digital: true,
+            word_plans: Vec::new(),
+            sensed: BitVec::new(cols),
         }
     }
 
@@ -113,6 +145,7 @@ impl Crossbar {
             .collect();
         self.variability = Some((model, samples));
         self.rng = rng;
+        self.digital = false;
         self
     }
 
@@ -122,6 +155,10 @@ impl Crossbar {
     #[must_use]
     pub fn with_endurance(mut self, model: EnduranceModel) -> Self {
         self.endurance = Some(model);
+        if self.wear.is_empty() {
+            self.wear = vec![WearState::new(); self.rows * self.cols];
+        }
+        self.digital = false;
         self
     }
 
@@ -314,6 +351,25 @@ impl Crossbar {
         Ok(())
     }
 
+    /// Bounds-checks logical rows.
+    pub(crate) fn check_rows(&self, rows: &[usize]) -> Result<(), CrossbarError> {
+        rows.iter().try_for_each(|&row| self.check(row, 0))
+    }
+
+    /// Everything a scouting op (with write-back into `dest`, if any)
+    /// can refuse, checked before any cell is sensed: a refused op
+    /// charges nothing.
+    pub(crate) fn check_scouting(
+        &self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dest: Option<usize>,
+    ) -> Result<(), CrossbarError> {
+        kind.validate_selection(rows)?;
+        self.check_rows(rows)?;
+        dest.map_or(Ok(()), |dest| self.check(dest, 0))
+    }
+
     fn cell_index(&self, row: usize, col: usize) -> usize {
         row * self.cols + col
     }
@@ -423,7 +479,37 @@ impl Crossbar {
 
     /// The raw row-programming cycle on a *physical* row: no remap, no
     /// retirement — shared by host writes and spare-repair copies.
+    /// Stuck cells ignore the write; every other cell that differs
+    /// flips. A digital array flips a word at a time.
     fn program_physical_row(&mut self, row: usize, values: &BitVec) -> u64 {
+        let changed = if self.digital {
+            let (stuck, _) = self.faults.row_masks(row).unwrap_or((&[], &[]));
+            let mut changed = 0u64;
+            let words = self.bits.row_words_mut(row).iter_mut().zip(values.as_words());
+            for (w, (old, &new)) in words.enumerate() {
+                let flip = (*old ^ new) & !stuck.get(w).copied().unwrap_or(0);
+                changed += u64::from(flip.count_ones());
+                *old ^= flip;
+            }
+            changed
+        } else {
+            self.program_cells(row, values)
+        };
+        if changed > 0 {
+            self.ledger.record_program(
+                changed,
+                Joules::new(self.tech.program_energy.as_joules() * changed as f64),
+                self.tech.program_latency,
+            );
+        }
+        changed
+    }
+
+    /// The analog write of [`program_physical_row`](Self::program_physical_row),
+    /// cell by cell: each flip spends an endurance cycle and draws a
+    /// fresh resistance sample, and a worn-out cell sticks. Returns the
+    /// number of cells that changed; charges nothing.
+    fn program_cells(&mut self, row: usize, values: &BitVec) -> u64 {
         let mut changed = 0u64;
         for col in 0..self.cols {
             let value = values.get(col);
@@ -444,13 +530,6 @@ impl Crossbar {
                 self.endurance_failures += 1;
                 self.faults.inject_stuck_at(row, col, value);
             }
-        }
-        if changed > 0 {
-            self.ledger.record_program(
-                changed,
-                Joules::new(self.tech.program_energy.as_joules() * changed as f64),
-                self.tech.program_latency,
-            );
         }
         changed
     }
@@ -479,13 +558,91 @@ impl Crossbar {
     // Sensing
     // ------------------------------------------------------------------
 
-    /// Bit-line current of one column with the given rows activated.
+    /// Bit-line current of one column with the given logical rows
+    /// activated.
     fn column_current(&self, rows: &[usize], col: usize) -> Amps {
         Amps::new(
             rows.iter()
-                .map(|&r| (self.read_voltage / self.cell_resistance(r, col)).as_amps())
+                .map(|&r| (self.read_voltage / self.cell_resistance(self.phys(r), col)).as_amps())
                 .sum(),
         )
+    }
+
+    /// The sense references for `kind` over `k` activated rows; `k = 1`
+    /// is a plain read.
+    fn thresholds(&self, kind: ScoutingKind, k: usize) -> SenseThresholds {
+        let (vr, r_low, r_high) = (self.read_voltage, self.device.r_low, self.device.r_high);
+        if k == 1 {
+            SenseThresholds::read_reference(vr, r_low, r_high)
+        } else {
+            SenseThresholds::for_gate(kind, k, vr, r_low, r_high)
+        }
+    }
+
+    /// Whether `kind` over `k` rows may be sensed as a word fold: the
+    /// sense table over ideal cells exists (no reference within float
+    /// rounding of any count's current) and equals the gate's truth
+    /// table.
+    fn word_plan(&mut self, kind: ScoutingKind, k: usize) -> bool {
+        if let Some(&(_, _, word)) = self.word_plans.iter().find(|p| p.0 == kind && p.1 == k) {
+            return word;
+        }
+        let i_on = self.read_voltage / self.device.r_low;
+        let i_off = self.read_voltage / self.device.r_high;
+        let word = self
+            .thresholds(kind, k)
+            .count_table(k, i_on, i_off)
+            .is_some_and(|table| table == kind.ideal_table(k));
+        self.word_plans.push((kind, k, word));
+        word
+    }
+
+    /// Senses the logical `rows`, activated together, against `kind`'s
+    /// references into `self.sensed`: word-parallel on a digital array
+    /// whose sense table is the gate's truth table, column by column
+    /// through [`column_current`](Self::column_current) otherwise.
+    fn sense(&mut self, kind: ScoutingKind, rows: &[usize]) {
+        if self.digital && self.word_plan(kind, rows.len()) {
+            match kind.base() {
+                ScoutingKind::Or => self.fold_rows(rows, |a, b| a | b),
+                ScoutingKind::And => self.fold_rows(rows, |a, b| a & b),
+                _ => self.fold_rows(rows, |a, b| a ^ b),
+            }
+            let words = self.sensed.as_words_mut();
+            if kind.inverted() {
+                words.iter_mut().for_each(|w| *w = !*w);
+            }
+            // Inversion and stuck values past the last column must not
+            // leak into the row's tail.
+            if let (Some(last), tail @ 1..) = (words.last_mut(), self.cols % 64) {
+                *last &= (1u64 << tail) - 1;
+            }
+        } else {
+            let thresholds = self.thresholds(kind, rows.len());
+            self.sensed.clear();
+            for col in 0..self.cols {
+                if thresholds.sense(self.column_current(rows, col)) {
+                    self.sensed.set(col, true);
+                }
+            }
+        }
+    }
+
+    /// Folds the observed words of the logical `rows` — stored bits with
+    /// every stuck cell forced to its stuck value — into `self.sensed`.
+    fn fold_rows(&mut self, rows: &[usize], op: impl Fn(u64, u64) -> u64) {
+        let mut sensed = std::mem::replace(&mut self.sensed, BitVec::new(0));
+        for (i, &row) in rows.iter().enumerate() {
+            let pr = self.phys(row);
+            let (mask, value) = self.faults.row_masks(pr).unwrap_or((&[], &[]));
+            let words = sensed.as_words_mut().iter_mut().zip(self.bits.row(pr).as_words());
+            for (w, (acc, &bits)) in words.enumerate() {
+                let m = mask.get(w).copied().unwrap_or(0);
+                let observed = (bits & !m) | (value.get(w).copied().unwrap_or(0) & m);
+                *acc = if i == 0 { observed } else { op(*acc, observed) };
+            }
+        }
+        self.sensed = sensed;
     }
 
     /// Reads one cell through the sense amplifier (physical read: faults
@@ -496,17 +653,17 @@ impl Crossbar {
     /// Returns [`CrossbarError::OutOfBounds`] for invalid indices.
     pub fn read_bit(&mut self, row: usize, col: usize) -> Result<bool, CrossbarError> {
         self.check(row, col)?;
-        let i = self.column_current(&[self.phys(row)], col);
-        let ref_current = Amps::new(
-            ((self.read_voltage / self.device.r_low).as_amps()
-                * (self.read_voltage / self.device.r_high).as_amps())
-            .sqrt(),
-        );
+        let i = self.column_current(&[row], col);
         self.ledger.record_read(
             self.tech.analytic_cycle_energy(self.rows),
             self.tech.read_latency(self.rows),
         );
-        Ok(i.as_amps() > ref_current.as_amps())
+        Ok(self.thresholds(ScoutingKind::Or, 1).sense(i))
+    }
+
+    /// The energy of one full-width sensing cycle (read or scouting).
+    fn row_cycle_energy(&self) -> Joules {
+        Joules::new(self.tech.analytic_cycle_energy(self.rows).as_joules() * self.cols as f64)
     }
 
     /// Reads a whole row, all columns sensed in parallel (one memory
@@ -517,21 +674,18 @@ impl Crossbar {
     /// Returns [`CrossbarError::OutOfBounds`] for an invalid row.
     pub fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
         self.check(row, 0)?;
-        let pr = self.phys(row);
         let mut out = BitVec::new(self.cols);
-        let ref_current = ((self.read_voltage / self.device.r_low).as_amps()
-            * (self.read_voltage / self.device.r_high).as_amps())
-        .sqrt();
-        for col in 0..self.cols {
-            if self.column_current(&[pr], col).as_amps() > ref_current {
-                out.set(col, true);
-            }
-        }
-        self.ledger.record_read(
-            Joules::new(self.tech.analytic_cycle_energy(self.rows).as_joules() * self.cols as f64),
-            self.tech.read_latency(self.rows),
-        );
+        self.read_row_into(row, &mut out, 0);
         Ok(out)
+    }
+
+    /// [`read_row`](Self::read_row) of a checked `row`, ORed into `out`
+    /// from bit `offset` on — how a bank writes its slice straight into
+    /// the gathered row.
+    pub(crate) fn read_row_into(&mut self, row: usize, out: &mut BitVec, offset: usize) {
+        self.sense(ScoutingKind::Or, &[row]);
+        self.ledger.record_read(self.row_cycle_energy(), self.tech.read_latency(self.rows));
+        out.or_shifted(&self.sensed, offset);
     }
 
     /// A scouting logic operation (Fig. 3): activates the selected rows
@@ -549,39 +703,25 @@ impl Crossbar {
         kind: ScoutingKind,
         rows: &[usize],
     ) -> Result<BitVec, CrossbarError> {
-        kind.validate_selection(rows)?;
-        for &r in rows {
-            self.check(r, 0)?;
-        }
-        let thresholds = SenseThresholds::for_gate(
-            kind,
-            rows.len(),
-            self.read_voltage,
-            self.device.r_low,
-            self.device.r_high,
-        );
-        // Activation drives the *physical* word lines backing the
-        // selected logical rows. The remap is identity until the first
-        // retirement, so the healthy-lifetime hot path stays
-        // allocation-free on the borrowed selection.
-        let phys_storage;
-        let active: &[usize] = if self.spare.as_ref().is_some_and(|pool| pool.used > 0) {
-            phys_storage = rows.iter().map(|&r| self.phys(r)).collect::<Vec<_>>();
-            &phys_storage
-        } else {
-            rows
-        };
+        self.check_scouting(kind, rows, None)?;
         let mut out = BitVec::new(self.cols);
-        for col in 0..self.cols {
-            if thresholds.sense(self.column_current(active, col)) {
-                out.set(col, true);
-            }
-        }
-        self.ledger.record_scouting(
-            Joules::new(self.tech.analytic_cycle_energy(self.rows).as_joules() * self.cols as f64),
-            self.tech.read_latency(self.rows),
-        );
+        self.scouting_into(kind, rows, &mut out, 0);
         Ok(out)
+    }
+
+    /// [`scouting`](Self::scouting) over a checked selection, ORed into
+    /// `out` from bit `offset` on. Activation drives the *physical*
+    /// word lines backing the selected logical rows.
+    pub(crate) fn scouting_into(
+        &mut self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        out: &mut BitVec,
+        offset: usize,
+    ) {
+        self.sense(kind, rows);
+        self.ledger.record_scouting(self.row_cycle_energy(), self.tech.read_latency(self.rows));
+        out.or_shifted(&self.sensed, offset);
     }
 
     /// Scouting with write-back: computes `kind` over `rows` and programs
@@ -590,16 +730,52 @@ impl Crossbar {
     /// # Errors
     ///
     /// Combines the error conditions of [`scouting`](Self::scouting) and
-    /// [`program_row`](Self::program_row).
+    /// [`program_row`](Self::program_row). Selection and bounds errors
+    /// (`dest` included) are raised before anything is sensed or
+    /// charged.
     pub fn scouting_write(
         &mut self,
         kind: ScoutingKind,
         rows: &[usize],
         dest: usize,
     ) -> Result<BitVec, CrossbarError> {
-        let result = self.scouting(kind, rows)?;
-        self.program_row(dest, &result)?;
-        Ok(result)
+        self.check_scouting(kind, rows, Some(dest))?;
+        let mut out = BitVec::new(self.cols);
+        self.scouting_write_into(kind, rows, dest, &mut out, 0)?;
+        Ok(out)
+    }
+
+    /// [`scouting_write`](Self::scouting_write) over a checked selection
+    /// and `dest`, ORing the result into `out` from bit `offset` on.
+    ///
+    /// # Errors
+    ///
+    /// [`CrossbarError::ExhaustedSpares`] when the write-back pushed
+    /// `dest` over its fault threshold with no spare left.
+    pub(crate) fn scouting_write_into(
+        &mut self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dest: usize,
+        out: &mut BitVec,
+        offset: usize,
+    ) -> Result<(), CrossbarError> {
+        self.scouting_into(kind, rows, out, offset);
+        let sensed = std::mem::replace(&mut self.sensed, BitVec::new(0));
+        self.program_physical_row(self.phys(dest), &sensed);
+        self.sensed = sensed;
+        self.maybe_retire(dest)?;
+        Ok(())
+    }
+}
+
+#[cfg(test)]
+impl Crossbar {
+    /// The same array held to the analog per-cell path — the reference
+    /// the word-parallel path is pinned against.
+    pub(crate) fn analog_reference(mut self) -> Self {
+        self.digital = false;
+        self
     }
 }
 
@@ -864,6 +1040,34 @@ mod tests {
         let mut x = Crossbar::rram(8, 4).with_spare_rows(3, 1);
         let err = x.read_row(5).expect_err("row 5 is a spare");
         assert!(matches!(err, CrossbarError::OutOfBounds { row: 5, rows: 5, .. }));
+    }
+
+    #[test]
+    fn paper_device_senses_every_gate_word_parallel() {
+        let mut x = array();
+        assert!(x.word_plan(ScoutingKind::Or, 1), "plain read");
+        for kind in [ScoutingKind::Or, ScoutingKind::And, ScoutingKind::Nor, ScoutingKind::Nand] {
+            for k in 2..=8 {
+                assert!(x.word_plan(kind, k), "{kind:?} over {k}");
+            }
+        }
+        assert!(x.word_plan(ScoutingKind::Xor, 2));
+        assert!(x.word_plan(ScoutingKind::Xnor, 2));
+    }
+
+    #[test]
+    fn close_device_pairs_fall_back_to_the_analog_path() {
+        // r_high = 2·r_low puts the AND reference (1.5·Vr/r_low) on the
+        // one-ON current of two cells: the sense table rejects itself.
+        let mut device = SwitchParams::paper_fig9();
+        device.r_high = device.r_low * 2.0;
+        let mut x = Crossbar::with_technology(CellTechnology::rram_1t1r(), device, 4, 8);
+        assert!(!x.word_plan(ScoutingKind::And, 2));
+        // r_high barely above r_low: every count reads as ON, a table
+        // that exists but is not AND's truth table.
+        device.r_high = device.r_low * (1.0 + 1e-9);
+        let mut x = Crossbar::with_technology(CellTechnology::rram_1t1r(), device, 4, 8);
+        assert!(!x.word_plan(ScoutingKind::And, 2));
     }
 
     #[test]

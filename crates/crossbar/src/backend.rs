@@ -295,6 +295,37 @@ mod tests {
     }
 
     #[test]
+    fn refused_ops_charge_nothing_on_any_substrate() {
+        let mut substrates: Vec<Box<dyn CrossbarBackend>> = vec![
+            Box::new(Crossbar::rram(4, 64)),
+            Box::new(BankedCrossbar::rram(4, 3, 32)),
+            Box::new(crate::EccCrossbar::rram(4, 64)),
+            Box::new(crate::EccCrossbar::banked_rram(4, 3, 32)),
+        ];
+        for xbar in &mut substrates {
+            let w = xbar.cols();
+            xbar.program_row(0, &BitVec::from_indices(w, &[1, 2])).expect("r0");
+            xbar.program_row(1, &BitVec::from_indices(w, &[2, 3])).expect("r1");
+            let before = xbar.ledger_totals();
+            let refusals = [
+                xbar.scouting_write(ScoutingKind::Or, &[0, 1], 99).map(drop),
+                xbar.scouting_write(ScoutingKind::Or, &[0, 99], 2).map(drop),
+                xbar.scouting_write(ScoutingKind::Xor, &[0, 1, 2], 3).map(drop),
+                xbar.scouting(ScoutingKind::Or, &[0, 99]).map(drop),
+                xbar.scouting(ScoutingKind::And, &[0]).map(drop),
+                xbar.scouting(ScoutingKind::And, &[1, 1]).map(drop),
+                xbar.read_row(99).map(drop),
+                xbar.program_row(99, &BitVec::new(w)).map(drop),
+                xbar.program_row(0, &BitVec::new(w + 1)).map(drop),
+            ];
+            for (i, refusal) in refusals.iter().enumerate() {
+                assert!(refusal.is_err(), "refusal {i} on a {w}-column substrate");
+            }
+            assert_eq!(xbar.ledger_totals(), before, "a refusal was charged ({w} columns)");
+        }
+    }
+
+    #[test]
     fn trait_objects_are_usable() {
         let mut backends: Vec<Box<dyn CrossbarBackend>> =
             vec![Box::new(Crossbar::rram(2, 64)), Box::new(BankedCrossbar::rram(2, 2, 32))];

@@ -12,10 +12,13 @@
 //! results back into a logical row are word-parallel
 //! ([`BitVec::extract_range_into`] / [`BitVec::or_shifted`]) — no
 //! per-bit loops in either direction. Striping writes into per-instance
-//! scratch (zero allocations per call); gathering ORs each bank's
-//! result directly into the output vector, so the only allocations on a
-//! banked operation are the ones its monolithic counterpart also makes
-//! (the returned row, plus each bank's own result inside [`Crossbar`]).
+//! scratch; on the way back every bank ORs its slice straight into the
+//! returned row. A steady-state banked operation on clean banks
+//! therefore allocates nothing but the row it returns, whatever the
+//! bank count (`tests/zero_alloc.rs` pins this).
+//!
+//! Every operation is validated against every bank before any bank
+//! senses or programs, so a refused operation charges no bank.
 
 use crate::{Crossbar, CrossbarError, OpLedger, RemapEntry, ScoutingKind};
 use memcim_bits::BitVec;
@@ -136,12 +139,6 @@ impl BankedCrossbar {
         Ok(())
     }
 
-    /// Re-assembles per-bank results into a logical row vector,
-    /// word-parallel via [`BitVec::or_shifted`].
-    fn gather(out: &mut BitVec, bank: usize, bank_cols: usize, part: &BitVec) {
-        out.or_shifted(part, bank * bank_cols);
-    }
-
     /// Programs a logical row across all banks (one parallel programming
     /// cycle). Returns the number of cells whose state changed.
     ///
@@ -164,10 +161,12 @@ impl BankedCrossbar {
     ///
     /// Returns [`CrossbarError::OutOfBounds`] for an invalid row.
     pub fn read_row(&mut self, row: usize) -> Result<BitVec, CrossbarError> {
+        for bank in &self.banks {
+            bank.check_rows(&[row])?;
+        }
         let mut out = BitVec::new(self.cols());
         for (b, bank) in self.banks.iter_mut().enumerate() {
-            let part = bank.read_row(row)?;
-            Self::gather(&mut out, b, self.bank_cols, &part);
+            bank.read_row_into(row, &mut out, b * self.bank_cols);
         }
         Ok(out)
     }
@@ -183,10 +182,12 @@ impl BankedCrossbar {
         kind: ScoutingKind,
         rows: &[usize],
     ) -> Result<BitVec, CrossbarError> {
+        for bank in &self.banks {
+            bank.check_scouting(kind, rows, None)?;
+        }
         let mut out = BitVec::new(self.cols());
         for (b, bank) in self.banks.iter_mut().enumerate() {
-            let part = bank.scouting(kind, rows)?;
-            Self::gather(&mut out, b, self.bank_cols, &part);
+            bank.scouting_into(kind, rows, &mut out, b * self.bank_cols);
         }
         Ok(out)
     }
@@ -206,10 +207,12 @@ impl BankedCrossbar {
         rows: &[usize],
         dest: usize,
     ) -> Result<BitVec, CrossbarError> {
+        for bank in &self.banks {
+            bank.check_scouting(kind, rows, Some(dest))?;
+        }
         let mut out = BitVec::new(self.cols());
         for (b, bank) in self.banks.iter_mut().enumerate() {
-            let part = bank.scouting_write(kind, rows, dest)?;
-            Self::gather(&mut out, b, self.bank_cols, &part);
+            bank.scouting_write_into(kind, rows, dest, &mut out, b * self.bank_cols)?;
         }
         Ok(out)
     }
@@ -427,7 +430,7 @@ mod proptests {
         stripes
     }
 
-    /// Per-bit reference for [`BankedCrossbar::gather`].
+    /// Per-bit reference for the gather [`BitVec::or_shifted`] does.
     fn gather_per_bit(parts: &[BitVec], bank_cols: usize) -> BitVec {
         let mut out = BitVec::new(parts.len() * bank_cols);
         for (b, part) in parts.iter().enumerate() {
@@ -459,7 +462,7 @@ mod proptests {
             // Gathering the stripes reconstructs the logical row.
             let mut gathered = BitVec::new(cols);
             for (b, part) in banked.stripes.iter().enumerate() {
-                BankedCrossbar::gather(&mut gathered, b, bank_cols, part);
+                gathered.or_shifted(part, b * bank_cols);
             }
             prop_assert_eq!(&gathered, &values);
             prop_assert_eq!(gathered, gather_per_bit(&reference, bank_cols));

@@ -443,6 +443,27 @@ impl<B: CrossbarBackend> EccCrossbar<B> {
         }
         Ok(self.code.extract_data(&word))
     }
+
+    /// Everything a protected scouting op (with write-back into `dest`,
+    /// if any) can refuse, checked before any operand is read: a
+    /// refused op charges nothing.
+    fn check_scouting(
+        &self,
+        kind: ScoutingKind,
+        rows: &[usize],
+        dest: Option<usize>,
+    ) -> Result<(), CrossbarError> {
+        kind.validate_selection(rows)?;
+        match rows.iter().chain(&dest).find(|&&row| row >= self.rows()) {
+            Some(&row) => Err(CrossbarError::OutOfBounds {
+                row,
+                col: 0,
+                rows: self.rows(),
+                cols: self.inner.cols(),
+            }),
+            None => Ok(()),
+        }
+    }
 }
 
 impl<B: CrossbarBackend> CrossbarBackend for EccCrossbar<B> {
@@ -470,7 +491,7 @@ impl<B: CrossbarBackend> CrossbarBackend for EccCrossbar<B> {
     }
 
     fn scouting(&mut self, kind: ScoutingKind, rows: &[usize]) -> Result<BitVec, CrossbarError> {
-        kind.validate_selection(rows)?;
+        self.check_scouting(kind, rows, None)?;
         // The array cannot correct operands mid-cycle, so a protected
         // scouting op is one corrected read per operand row combined in
         // the periphery — k reads instead of one cycle: the ECC tax.
@@ -495,6 +516,7 @@ impl<B: CrossbarBackend> CrossbarBackend for EccCrossbar<B> {
         rows: &[usize],
         dest: usize,
     ) -> Result<BitVec, CrossbarError> {
+        self.check_scouting(kind, rows, Some(dest))?;
         let result = self.scouting(kind, rows)?;
         self.program_row(dest, &result)?;
         Ok(result)

@@ -7,11 +7,37 @@ use std::collections::HashMap;
 /// A stuck cell ignores programming and always reads its stuck value —
 /// the dominant memristor failure signature (endurance wear-out leaves
 /// filaments permanently formed or ruptured).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+///
+/// Next to the per-cell map, every faulty row keeps its stuck cells as
+/// two packed word masks — which columns are stuck, and at what value —
+/// kept in step by [`inject_stuck_at`](Self::inject_stuck_at) and
+/// [`clear`](Self::clear). A crossbar senses and programs a row a word
+/// at a time through them: the observed word is
+/// `(bits & !mask) | (value & mask)`.
+#[derive(Debug, Clone, Default)]
 pub struct FaultMap {
     stuck: HashMap<(usize, usize), bool>,
-    per_row: HashMap<usize, usize>,
+    rows: HashMap<usize, RowFaults>,
 }
+
+/// The stuck cells of one row: a count and the packed masks (64
+/// columns per word, as wide as the row's highest faulty column).
+#[derive(Debug, Clone, Default)]
+struct RowFaults {
+    count: usize,
+    mask: Vec<u64>,
+    value: Vec<u64>,
+}
+
+/// The per-row masks are derived from the per-cell map, so two maps
+/// with the same faults are equal whatever their history.
+impl PartialEq for FaultMap {
+    fn eq(&self, other: &Self) -> bool {
+        self.stuck == other.stuck
+    }
+}
+
+impl Eq for FaultMap {}
 
 impl FaultMap {
     /// An empty fault map.
@@ -21,19 +47,37 @@ impl FaultMap {
 
     /// Injects a stuck-at fault at `(row, col)`.
     pub fn inject_stuck_at(&mut self, row: usize, col: usize, value: bool) {
-        if self.stuck.insert((row, col), value).is_none() {
-            *self.per_row.entry(row).or_insert(0) += 1;
+        let fresh = self.stuck.insert((row, col), value).is_none();
+        let faults = self.rows.entry(row).or_default();
+        if fresh {
+            faults.count += 1;
+        }
+        let (word, bit) = (col / 64, 1u64 << (col % 64));
+        if faults.mask.len() <= word {
+            faults.mask.resize(word + 1, 0);
+            faults.value.resize(word + 1, 0);
+        }
+        faults.mask[word] |= bit;
+        if value {
+            faults.value[word] |= bit;
+        } else {
+            faults.value[word] &= !bit;
         }
     }
 
     /// Removes a fault, if present.
     pub fn clear(&mut self, row: usize, col: usize) {
-        if self.stuck.remove(&(row, col)).is_some() {
-            match self.per_row.get_mut(&row) {
-                Some(count) if *count > 1 => *count -= 1,
-                _ => {
-                    self.per_row.remove(&row);
-                }
+        if self.stuck.remove(&(row, col)).is_none() {
+            return;
+        }
+        if let Some(faults) = self.rows.get_mut(&row) {
+            if faults.count > 1 {
+                faults.count -= 1;
+                let (word, bit) = (col / 64, 1u64 << (col % 64));
+                faults.mask[word] &= !bit;
+                faults.value[word] &= !bit;
+            } else {
+                self.rows.remove(&row);
             }
         }
     }
@@ -41,7 +85,14 @@ impl FaultMap {
     /// Number of stuck cells in one row — the quantity a spare-row
     /// retirement policy thresholds on.
     pub fn row_fault_count(&self, row: usize) -> usize {
-        self.per_row.get(&row).copied().unwrap_or(0)
+        self.rows.get(&row).map_or(0, |faults| faults.count)
+    }
+
+    /// The packed `(mask, value)` words of a row's stuck cells, or
+    /// `None` for a row without faults. Both slices cover the row's
+    /// highest faulty column; words past their end hold no fault.
+    pub(crate) fn row_masks(&self, row: usize) -> Option<(&[u64], &[u64])> {
+        self.rows.get(&row).map(|faults| (faults.mask.as_slice(), faults.value.as_slice()))
     }
 
     /// Number of injected faults.
@@ -120,5 +171,46 @@ mod tests {
         f.clear(3, 0); // double clear is a no-op
         assert_eq!(f.row_fault_count(3), 0);
         assert_eq!(f.row_fault_count(5), 1);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// After any sequence of injects, overwrites and clears, the
+        /// packed row masks say exactly what the per-cell lookups say,
+        /// and each row's count is its mask's population.
+        #[test]
+        fn row_masks_equal_per_cell_lookups(
+            steps in proptest::collection::vec(
+                (0usize..5, 0usize..200, any::<bool>(), any::<bool>()),
+                0..120,
+            ),
+        ) {
+            let mut f = FaultMap::new();
+            for &(row, col, inject, value) in &steps {
+                if inject {
+                    f.inject_stuck_at(row, col, value);
+                } else {
+                    f.clear(row, col);
+                }
+            }
+            for row in 0..5 {
+                let (mask, value) = f.row_masks(row).unwrap_or((&[], &[]));
+                let ones: u32 = mask.iter().map(|w| w.count_ones()).sum();
+                prop_assert_eq!(ones as usize, f.row_fault_count(row));
+                for col in 0..256 {
+                    let (word, bit) = (col / 64, col % 64);
+                    let m = mask.get(word).is_some_and(|w| w >> bit & 1 == 1);
+                    let v = value.get(word).is_some_and(|w| w >> bit & 1 == 1);
+                    prop_assert_eq!(m, f.stuck_value(row, col).is_some(), "mask ({}, {})", row, col);
+                    prop_assert_eq!(v, f.stuck_value(row, col) == Some(true), "value ({}, {})", row, col);
+                }
+            }
+        }
     }
 }

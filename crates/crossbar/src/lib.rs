@@ -25,6 +25,25 @@
 //! * [`ScoutingKind`]/[`SenseThresholds`] — the reference-current
 //!   placement of Fig. 3b, including the two-reference XOR window.
 //!
+//! # Digital and analog sensing
+//!
+//! A [`Crossbar`] with no variability model and no endurance model
+//! holds ideal two-level cells, so its sense-amplifier output is a
+//! digital function of the stored bits (the scouting-logic view of
+//! Fig. 3). Such an array senses and programs 64 columns per word
+//! operation: stuck-at faults apply through the [`FaultMap`]'s per-row
+//! masks, writes flip `(old ^ new) & !stuck`, and reads and scouting
+//! ops fold the selected rows with OR / AND / XOR. The fold runs only
+//! when the sense table — the decision for each count of ones among
+//! the selected cells, built from the same `Vr / R` terms and
+//! [`SenseThresholds`] as the bit-line sum — equals the gate's truth
+//! table, with no reference within float rounding of any count's
+//! current. Any other table, and every array with variability or
+//! endurance attached, takes the analog path: each column's current is
+//! summed cell by cell and compared against the references. The two
+//! paths agree bit for bit, and the [`OpLedger`] charges are the same:
+//! the modeled hardware does the same work, only the host is faster.
+//!
 //! # Banked execution
 //!
 //! The MVP's 2 GB crossbar is physically *millions of subarrays*
@@ -33,8 +52,11 @@
 //! operation fans out to all banks in the same memory cycle, and the
 //! stripe/gather plumbing is word-parallel
 //! ([`memcim_bits::BitVec::extract_range_into`] /
-//! [`memcim_bits::BitVec::or_shifted`]) with reusable scratch — no
-//! per-bit loops, no per-call allocations.
+//! [`memcim_bits::BitVec::or_shifted`]): striping reuses per-instance
+//! scratch, and every bank ORs its slice straight into the returned
+//! row. On clean banks a steady-state `program_row` allocates nothing
+//! and a `read_row` or `scouting_write` allocates only the row it
+//! returns, whatever the bank count (`tests/zero_alloc.rs`).
 //!
 //! The [`CrossbarBackend`] trait abstracts over both substrates
 //! (programming, reads, scouting with and without write-back, geometry,
@@ -106,3 +128,6 @@ pub use faults::FaultMap;
 pub use ledger::OpLedger;
 pub use sense::{ScoutingKind, SenseThresholds};
 pub use technology::CellTechnology;
+
+#[cfg(test)]
+mod differential;

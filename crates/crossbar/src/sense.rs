@@ -48,6 +48,28 @@ impl ScoutingKind {
         matches!(self.base(), ScoutingKind::Xor)
     }
 
+    /// The gate's boolean truth table over `k` rows, laid out like
+    /// [`SenseThresholds::count_table`] (bit `c` is the output with `c`
+    /// ones among the rows): OR for any one, AND for all, XOR for an
+    /// odd count; complemented gates invert it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k > 63`.
+    pub(crate) fn ideal_table(self, k: usize) -> u64 {
+        let all = u64::MAX >> (63 - k);
+        let table = match self.base() {
+            ScoutingKind::Or => all & !1,
+            ScoutingKind::And => 1 << k,
+            _ => all & 0xAAAA_AAAA_AAAA_AAAA,
+        };
+        if self.inverted() {
+            !table & all
+        } else {
+            table
+        }
+    }
+
     /// Validates a row selection for this gate — the single source of
     /// the scouting selection policy (at least two rows, window gates
     /// over exactly two, rows distinct), shared by every substrate so
@@ -144,6 +166,50 @@ impl SenseThresholds {
             }
             _ => unreachable!("base() never returns a complemented gate"),
         }
+    }
+
+    /// The reference of a plain one-row read: the geometric mean of the
+    /// ON and OFF cell currents.
+    pub(crate) fn read_reference(vr: Volts, r_low: Ohms, r_high: Ohms) -> Self {
+        let reference = ((vr / r_low).as_amps() * (vr / r_high).as_amps()).sqrt();
+        Self { low: Amps::new(reference), high: None, inverted: false }
+    }
+
+    /// The sense decision for every count of ON cells among `k` ideal
+    /// cells activated together: bit `c` is the decision for the
+    /// bit-line current of `c` cells at `i_on` and `k − c` at `i_off`.
+    /// `None` when `k > 63` or a reference lies within the float
+    /// rounding band of some count's current.
+    ///
+    /// Summing `k` positive terms lands within `(k − 1)·ε/2` of the
+    /// exact sum in relative terms, whatever the order, so two orders
+    /// differ by less than `(k − 1)·ε`. A reference outside `±2kε`
+    /// around every count's sum therefore gets one decision from every
+    /// summation order: the table is exactly what a per-column sum of
+    /// the same terms senses.
+    pub(crate) fn count_table(&self, k: usize, i_on: Amps, i_off: Amps) -> Option<u64> {
+        if k > 63 {
+            return None;
+        }
+        let band = 2.0 * k as f64 * f64::EPSILON;
+        let mut table = 0;
+        for ones in 0..=k {
+            let sum: f64 = std::iter::repeat_n(i_on.as_amps(), ones)
+                .chain(std::iter::repeat_n(i_off.as_amps(), k - ones))
+                .sum();
+            let (lo, hi) = (sum * (1.0 - band), sum * (1.0 + band));
+            let straddled = [Some(self.low), self.high]
+                .into_iter()
+                .flatten()
+                .any(|reference| (lo..=hi).contains(&reference.as_amps()));
+            if straddled {
+                return None;
+            }
+            if self.sense(Amps::new(sum)) {
+                table |= 1 << ones;
+            }
+        }
+        Some(table)
     }
 
     /// The sense decision for a measured bit-line current.
@@ -260,6 +326,51 @@ mod tests {
             assert_eq!(t.low(), b.low());
             assert_eq!(t.high(), b.high());
         }
+    }
+
+    #[test]
+    fn count_tables_of_the_paper_device_are_the_truth_tables() {
+        let (on, off) = (VR / rl(), VR / rh());
+        for kind in [ScoutingKind::Or, ScoutingKind::And, ScoutingKind::Nor, ScoutingKind::Nand] {
+            for k in 2..=8 {
+                let t = SenseThresholds::for_gate(kind, k, VR, rl(), rh());
+                assert_eq!(t.count_table(k, on, off), Some(kind.ideal_table(k)), "{kind:?} {k}");
+            }
+        }
+        let xor = SenseThresholds::for_gate(ScoutingKind::Xor, 2, VR, rl(), rh());
+        assert_eq!(xor.count_table(2, on, off), Some(0b010));
+        assert_eq!(ScoutingKind::Xnor.ideal_table(2), 0b101);
+        let read = SenseThresholds::read_reference(VR, rl(), rh());
+        assert_eq!(read.count_table(1, on, off), Some(0b10));
+    }
+
+    #[test]
+    fn a_reference_on_a_count_current_rejects_the_table() {
+        // With r_high = 2·r_low the AND reference 1.5·Vr/r_low equals
+        // the current of one ON and one OFF cell.
+        let rh2 = rl() * 2.0;
+        let t = SenseThresholds::for_gate(ScoutingKind::And, 2, VR, rl(), rh2);
+        assert_eq!(t.count_table(2, VR / rl(), VR / rh2), None);
+        assert_eq!(t.count_table(64, VR / rl(), VR / rh()), None, "more than 63 rows");
+    }
+
+    #[test]
+    fn a_reference_within_rounding_of_a_count_current_rejects_the_table() {
+        // Nudge r_high around 2·r_low so the one-ON current of two cells
+        // lands a few ulps off the AND reference, not on it: another
+        // summation order could fall on the other side.
+        let mut near_misses = 0;
+        for j in -64..=64 {
+            let rh = rl() * (2.0 * (1.0 + f64::from(j) * f64::EPSILON));
+            let (on, off) = (VR / rl(), VR / rh);
+            let t = SenseThresholds::for_gate(ScoutingKind::And, 2, VR, rl(), rh);
+            let gap = (on.as_amps() + off.as_amps() - t.low().as_amps()).abs();
+            if gap > 0.0 && gap <= 2.0 * f64::EPSILON * t.low().as_amps() {
+                near_misses += 1;
+                assert_eq!(t.count_table(2, on, off), None, "j = {j}");
+            }
+        }
+        assert!(near_misses > 0, "the sweep must reach currents off the reference by an ulp");
     }
 
     #[test]
