@@ -9,8 +9,10 @@
 //!   a 4-byte big-endian body length followed by a one-byte opcode and
 //!   payload. Verbs: `Hello` (authenticate), `Submit` (MVP programs),
 //!   `ApOpen`/`ApFeed`/`ApFinish`/`ApClose` (streaming sessions),
-//!   `Usage` and `Stats`. Malformed input never panics the server — it
-//!   answers with a typed [`wire::ErrorCode`] frame.
+//!   `ApFeedMany`/`ApFinishMany` (multi-stream lanes),
+//!   `CorrOpen`/`CorrFeed`/`CorrFinish` (correlation sessions), `Usage`
+//!   and `Stats`. Malformed input never panics the server — it answers
+//!   with a typed [`wire::ErrorCode`] frame.
 //! * [`admission`] — the gate *in front of* the bounded queue:
 //!   per-tenant authentication tokens, job quotas and token-bucket rate
 //!   limiting. An over-quota or over-rate submission is refused before

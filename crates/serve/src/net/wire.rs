@@ -23,6 +23,13 @@
 //! way: a length or index that does not fit the wire format's 32-bit
 //! fields is a typed [`EncodeError`], never a silent truncation.
 //!
+//! Each layout is written once. A private `Wire` trait encodes and
+//! decodes by walking the same field list, and a sequence's forged-count
+//! guard is its element type's smallest encoding. The `verbs!`,
+//! `wire_struct!` and `wire_instruction!` invocations below declare
+//! every verb, payload struct and instruction field by field in wire
+//! order, so encoder and decoder cannot disagree on that order.
+//!
 //! # Verbs
 //!
 //! | opcode | direction | verb |
@@ -108,109 +115,90 @@ const OP_ERROR: u8 = 0xEE;
 
 // --- Error taxonomy ---------------------------------------------------
 
-/// Typed failure codes carried by [`Response::Error`] frames.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ErrorCode {
-    /// The frame body could not be decoded (truncated payload, trailing
-    /// garbage, invalid UTF-8, nonsense counts).
-    BadFrame,
-    /// The declared body length exceeds the server's maximum.
-    FrameTooLarge,
-    /// The opcode is not a known request verb.
-    UnknownOpcode,
-    /// A request other than `Hello` arrived before authentication.
-    Unauthenticated,
-    /// `Hello` named an unknown tenant or presented a wrong token.
-    BadCredentials,
-    /// The connection sent a second `Hello`.
-    AlreadyAuthenticated,
-    /// Admission control: the tenant's job quota is spent.
-    QuotaExceeded,
-    /// Admission control: the tenant's token bucket is empty.
-    RateLimited,
-    /// The bounded queue is at capacity; the submission was refused
-    /// *before* it could block the connection (back off and retry).
-    OverCapacity,
-    /// The service is shutting down.
-    ShuttingDown,
-    /// A streaming verb referenced a session this tenant does not hold.
-    UnknownSession,
-    /// The session is busy on another in-flight job.
-    SessionBusy,
-    /// The session exists but holds a different streaming workload's
-    /// state (e.g. an `ApFeed` aimed at a correlation session).
-    WrongSessionKind,
-    /// Pattern compilation failed in `ApOpen`.
-    Compile,
-    /// The job reached an engine and failed there.
-    Engine,
-    /// Every engine has been retired; MVP jobs cannot be placed.
-    NoHealthyEngine,
-    /// Every replica of one shard is dead; sub-queries touching its
-    /// records cannot fail over anywhere (other shards keep serving).
-    ShardUnavailable,
-    /// Static verification refused a submitted program *before*
-    /// admission: the engine would provably reject it at runtime. The
-    /// message carries the diagnostic (stable code, instruction index);
-    /// nothing was billed and nothing was queued.
-    InvalidProgram,
-    /// An internal server failure (never the client's fault).
-    Internal,
+/// Defines [`ErrorCode`] from one table of variants and their wire
+/// numbers, which both [`ErrorCode::as_u16`] and [`ErrorCode::from_u16`]
+/// read.
+macro_rules! error_codes {
+    ($(#[$meta:meta])* pub enum ErrorCode { $($(#[$vmeta:meta])* $code:ident = $n:literal,)* }) => {
+        $(#[$meta])*
+        pub enum ErrorCode {
+            $($(#[$vmeta])* $code,)*
+        }
+
+        impl ErrorCode {
+            /// The code's wire representation.
+            pub fn as_u16(self) -> u16 {
+                match self {
+                    $(ErrorCode::$code => $n,)*
+                }
+            }
+
+            /// Decodes a wire code; unknown values collapse to
+            /// [`ErrorCode::Internal`] so old clients survive new servers.
+            pub fn from_u16(raw: u16) -> Self {
+                match raw {
+                    $($n => ErrorCode::$code,)*
+                    _ => ErrorCode::Internal,
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
+    /// Typed failure codes carried by [`Response::Error`] frames.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    #[non_exhaustive]
+    pub enum ErrorCode {
+        /// The frame body could not be decoded (truncated payload, trailing
+        /// garbage, invalid UTF-8, nonsense counts).
+        BadFrame = 1,
+        /// The declared body length exceeds the server's maximum.
+        FrameTooLarge = 2,
+        /// The opcode is not a known request verb.
+        UnknownOpcode = 3,
+        /// A request other than `Hello` arrived before authentication.
+        Unauthenticated = 10,
+        /// `Hello` named an unknown tenant or presented a wrong token.
+        BadCredentials = 11,
+        /// The connection sent a second `Hello`.
+        AlreadyAuthenticated = 12,
+        /// Admission control: the tenant's job quota is spent.
+        QuotaExceeded = 20,
+        /// Admission control: the tenant's token bucket is empty.
+        RateLimited = 21,
+        /// The bounded queue is at capacity; the submission was refused
+        /// *before* it could block the connection (back off and retry).
+        OverCapacity = 22,
+        /// The service is shutting down.
+        ShuttingDown = 30,
+        /// A streaming verb referenced a session this tenant does not hold.
+        UnknownSession = 31,
+        /// The session is busy on another in-flight job.
+        SessionBusy = 32,
+        /// The session exists but holds a different streaming workload's
+        /// state (e.g. an `ApFeed` aimed at a correlation session).
+        WrongSessionKind = 38,
+        /// Pattern compilation failed in `ApOpen`.
+        Compile = 33,
+        /// The job reached an engine and failed there.
+        Engine = 34,
+        /// Every engine has been retired; MVP jobs cannot be placed.
+        NoHealthyEngine = 35,
+        /// Every replica of one shard is dead; sub-queries touching its
+        /// records cannot fail over anywhere (other shards keep serving).
+        ShardUnavailable = 36,
+        /// Static verification refused a submitted program *before*
+        /// admission: the engine would provably reject it at runtime. The
+        /// message carries the diagnostic (stable code, instruction index);
+        /// nothing was billed and nothing was queued.
+        InvalidProgram = 37,
+        /// An internal server failure (never the client's fault).
+        Internal = 99,
+    }
 }
 
 impl ErrorCode {
-    /// The code's wire representation.
-    pub fn as_u16(self) -> u16 {
-        match self {
-            ErrorCode::BadFrame => 1,
-            ErrorCode::FrameTooLarge => 2,
-            ErrorCode::UnknownOpcode => 3,
-            ErrorCode::Unauthenticated => 10,
-            ErrorCode::BadCredentials => 11,
-            ErrorCode::AlreadyAuthenticated => 12,
-            ErrorCode::QuotaExceeded => 20,
-            ErrorCode::RateLimited => 21,
-            ErrorCode::OverCapacity => 22,
-            ErrorCode::ShuttingDown => 30,
-            ErrorCode::UnknownSession => 31,
-            ErrorCode::SessionBusy => 32,
-            ErrorCode::Compile => 33,
-            ErrorCode::Engine => 34,
-            ErrorCode::NoHealthyEngine => 35,
-            ErrorCode::ShardUnavailable => 36,
-            ErrorCode::InvalidProgram => 37,
-            ErrorCode::WrongSessionKind => 38,
-            ErrorCode::Internal => 99,
-        }
-    }
-
-    /// Decodes a wire code; unknown values collapse to
-    /// [`ErrorCode::Internal`] so old clients survive new servers.
-    pub fn from_u16(raw: u16) -> Self {
-        match raw {
-            1 => ErrorCode::BadFrame,
-            2 => ErrorCode::FrameTooLarge,
-            3 => ErrorCode::UnknownOpcode,
-            10 => ErrorCode::Unauthenticated,
-            11 => ErrorCode::BadCredentials,
-            12 => ErrorCode::AlreadyAuthenticated,
-            20 => ErrorCode::QuotaExceeded,
-            21 => ErrorCode::RateLimited,
-            22 => ErrorCode::OverCapacity,
-            30 => ErrorCode::ShuttingDown,
-            31 => ErrorCode::UnknownSession,
-            32 => ErrorCode::SessionBusy,
-            33 => ErrorCode::Compile,
-            34 => ErrorCode::Engine,
-            35 => ErrorCode::NoHealthyEngine,
-            36 => ErrorCode::ShardUnavailable,
-            37 => ErrorCode::InvalidProgram,
-            38 => ErrorCode::WrongSessionKind,
-            _ => ErrorCode::Internal,
-        }
-    }
-
     /// Maps a service-side failure to its wire code.
     pub fn from_serve_error(e: &ServeError) -> Self {
         match e {
@@ -311,7 +299,7 @@ impl fmt::Display for EncodeError {
 
 impl std::error::Error for EncodeError {}
 
-// --- Cursor-style reader/writer ---------------------------------------
+// --- The codec --------------------------------------------------------
 
 struct Reader<'a> {
     buf: &'a [u8],
@@ -336,82 +324,15 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    fn u8(&mut self) -> Result<u8, FrameError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn bool(&mut self) -> Result<bool, FrameError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(FrameError::BadPayload("boolean out of range")),
-        }
-    }
-
-    fn u16(&mut self) -> Result<u16, FrameError> {
-        let b = self.take(2)?;
-        Ok(u16::from_be_bytes([b[0], b[1]]))
-    }
-
-    fn u32(&mut self) -> Result<u32, FrameError> {
-        let b = self.take(4)?;
-        Ok(u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, FrameError> {
-        let b = self.take(8)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(b);
-        Ok(u64::from_be_bytes(raw))
-    }
-
-    fn f64(&mut self) -> Result<f64, FrameError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-
     /// Reads a `u32` element count and proves the frame can actually
     /// hold `count` elements of at least `min_bytes` each *before* the
     /// caller allocates — the defense against forged counts.
     fn count(&mut self, min_bytes: usize) -> Result<usize, FrameError> {
-        let count = self.u32()? as usize;
+        let count = u32::get(self, ())? as usize;
         if count.checked_mul(min_bytes.max(1)).is_none_or(|need| need > self.remaining()) {
             return Err(FrameError::BadPayload("element count exceeds frame"));
         }
         Ok(count)
-    }
-
-    fn bytes(&mut self) -> Result<Vec<u8>, FrameError> {
-        let len = self.count(1)?;
-        Ok(self.take(len)?.to_vec())
-    }
-
-    fn string(&mut self) -> Result<String, FrameError> {
-        String::from_utf8(self.bytes()?).map_err(|_| FrameError::BadPayload("invalid UTF-8"))
-    }
-
-    fn bitvec(&mut self) -> Result<BitVec, FrameError> {
-        let bits = self.u32()? as usize;
-        let words = bits.div_ceil(64);
-        if words.checked_mul(8).is_none_or(|need| need > self.remaining()) {
-            return Err(FrameError::BadPayload("bit vector exceeds frame"));
-        }
-        let mut out = BitVec::new(bits);
-        for w in 0..words {
-            let raw = self.take(8)?;
-            let mut word = [0u8; 8];
-            word.copy_from_slice(raw);
-            let mut word = u64::from_be_bytes(word);
-            while word != 0 {
-                let bit = word.trailing_zeros() as usize;
-                word &= word - 1;
-                let index = w * 64 + bit;
-                if index >= bits {
-                    return Err(FrameError::BadPayload("set bit beyond bit vector length"));
-                }
-                out.set(index, true);
-            }
-        }
-        Ok(out)
     }
 
     fn finish(self) -> Result<(), FrameError> {
@@ -431,867 +352,780 @@ impl Writer {
         Self { buf: vec![opcode] }
     }
 
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    fn f64(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-
     /// Writes a `usize` into one of the protocol's `u32` fields
     /// (a length prefix, an element count, a row index), checked: a
     /// value that does not fit is a typed [`EncodeError`], not a
     /// truncated frame.
     fn u32_of(&mut self, field: &'static str, value: usize) -> Result<(), EncodeError> {
-        match u32::try_from(value) {
-            Ok(v) => {
-                self.u32(v);
+        let v = u32::try_from(value).map_err(|_| EncodeError { field, value })?;
+        v.put(self, ())
+    }
+
+    /// Appends one field, builder-style.
+    fn with<T: Wire>(mut self, value: &T, spec: T::Spec) -> Result<Self, EncodeError> {
+        value.put(&mut self, spec)?;
+        Ok(self)
+    }
+}
+
+/// One type's wire layout, written once: [`put`](Wire::put) and
+/// [`get`](Wire::get) are the same field walk in both directions.
+trait Wire: Sized {
+    /// What a field of this type needs besides its value: the
+    /// [`EncodeError`] label of a `u32` length or index, and for a
+    /// sequence its count's label, range and element spec. `()` for
+    /// fixed-width types.
+    type Spec: Copy;
+
+    /// The fewest bytes one value can occupy — what a forged element
+    /// count is checked against before anything is allocated.
+    const MIN_BYTES: usize;
+
+    /// Appends the value to the frame body.
+    fn put(&self, w: &mut Writer, spec: Self::Spec) -> Result<(), EncodeError>;
+
+    /// Reads one value, trusting no more bytes than the frame holds.
+    fn get(r: &mut Reader<'_>, spec: Self::Spec) -> Result<Self, FrameError>;
+
+    /// Writes a run of values; bytes override this to copy in bulk.
+    fn put_all(items: &[Self], w: &mut Writer, spec: Self::Spec) -> Result<(), EncodeError> {
+        items.iter().try_for_each(|item| item.put(w, spec))
+    }
+
+    /// Reads `n` values; bytes override this to copy in bulk. `n` has
+    /// passed [`Reader::count`], so reserving it up front is safe.
+    fn get_all(r: &mut Reader<'_>, n: usize, spec: Self::Spec) -> Result<Vec<Self>, FrameError> {
+        let mut out = Vec::with_capacity(n);
+        for _ in 0..n {
+            out.push(Self::get(r, spec)?);
+        }
+        Ok(out)
+    }
+}
+
+/// A field's spec, `()` when the macro input names none.
+macro_rules! spec {
+    () => {
+        ()
+    };
+    ($spec:expr) => {
+        $spec
+    };
+}
+
+/// Fixed-width big-endian integers.
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            type Spec = ();
+            const MIN_BYTES: usize = size_of::<$int>();
+
+            fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+                w.buf.extend_from_slice(&self.to_be_bytes());
                 Ok(())
             }
-            Err(_) => Err(EncodeError { field, value }),
-        }
-    }
 
-    fn bytes(&mut self, field: &'static str, v: &[u8]) -> Result<(), EncodeError> {
-        self.u32_of(field, v.len())?;
-        self.buf.extend_from_slice(v);
+            fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+                let mut raw = [0; size_of::<$int>()];
+                raw.copy_from_slice(r.take(size_of::<$int>())?);
+                Ok(<$int>::from_be_bytes(raw))
+            }
+        }
+    )*};
+}
+
+wire_int!(u16, u32, u64);
+
+impl Wire for u8 {
+    type Spec = ();
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        w.buf.push(*self);
         Ok(())
     }
 
-    fn string(&mut self, field: &'static str, v: &str) -> Result<(), EncodeError> {
-        self.bytes(field, v.as_bytes())
+    fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+        Ok(r.take(1)?[0])
     }
 
-    fn bitvec(&mut self, field: &'static str, v: &BitVec) -> Result<(), EncodeError> {
-        self.u32_of(field, v.len())?;
-        for &word in v.as_words() {
-            self.u64(word);
-        }
+    fn put_all(items: &[Self], w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        w.buf.extend_from_slice(items);
         Ok(())
     }
+
+    fn get_all(r: &mut Reader<'_>, n: usize, (): ()) -> Result<Vec<Self>, FrameError> {
+        Ok(r.take(n)?.to_vec())
+    }
 }
 
-fn encode_instruction(w: &mut Writer, instruction: &Instruction) -> Result<(), EncodeError> {
-    match instruction {
-        Instruction::Store { row, data } => {
-            w.u8(0);
-            w.u32_of("store row", *row)?;
-            w.bitvec("store data", data)?;
+impl Wire for bool {
+    type Spec = ();
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        u8::from(*self).put(w, ())
+    }
+
+    fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+        match u8::get(r, ())? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(FrameError::BadPayload("boolean out of range")),
         }
-        Instruction::Or { srcs, dst } => {
-            w.u8(1);
-            w.u32_of("OR source count", srcs.len())?;
-            for &s in srcs {
-                w.u32_of("OR source row", s)?;
+    }
+}
+
+/// `f64` and the physical quantities travel as the IEEE-754 bit pattern
+/// of their base-unit value.
+macro_rules! wire_float {
+    ($($float:ty: $to:expr, $from:expr;)*) => {$(
+        impl Wire for $float {
+            type Spec = ();
+            const MIN_BYTES: usize = 8;
+
+            fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+                $to(*self).to_bits().put(w, ())
             }
-            w.u32_of("OR destination row", *dst)?;
-        }
-        Instruction::And { srcs, dst } => {
-            w.u8(2);
-            w.u32_of("AND source count", srcs.len())?;
-            for &s in srcs {
-                w.u32_of("AND source row", s)?;
+
+            fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+                Ok($from(f64::from_bits(u64::get(r, ())?)))
             }
-            w.u32_of("AND destination row", *dst)?;
         }
-        Instruction::Xor { a, b, dst } => {
-            w.u8(3);
-            w.u32_of("XOR operand row", *a)?;
-            w.u32_of("XOR operand row", *b)?;
-            w.u32_of("XOR destination row", *dst)?;
-        }
-        Instruction::Read { row } => {
-            w.u8(4);
-            w.u32_of("read row", *row)?;
-        }
-    }
-    Ok(())
+    )*};
 }
 
-fn decode_instruction(r: &mut Reader<'_>) -> Result<Instruction, FrameError> {
-    match r.u8()? {
-        0 => {
-            let row = r.u32()? as usize;
-            let data = r.bitvec()?;
-            Ok(Instruction::Store { row, data })
-        }
-        tag @ (1 | 2) => {
-            let n = r.count(4)?;
-            let srcs = (0..n).map(|_| Ok(r.u32()? as usize)).collect::<Result<Vec<_>, _>>()?;
-            let dst = r.u32()? as usize;
-            Ok(if tag == 1 {
-                Instruction::Or { srcs, dst }
-            } else {
-                Instruction::And { srcs, dst }
-            })
-        }
-        3 => Ok(Instruction::Xor {
-            a: r.u32()? as usize,
-            b: r.u32()? as usize,
-            dst: r.u32()? as usize,
-        }),
-        4 => Ok(Instruction::Read { row: r.u32()? as usize }),
-        _ => Err(FrameError::BadPayload("unknown instruction tag")),
+wire_float! {
+    f64: f64::from, f64::from;
+    Joules: Joules::as_joules, Joules::new;
+    Seconds: Seconds::as_seconds, Seconds::new;
+}
+
+/// Row indices and stream counts travel as a checked `u32`; the spec is
+/// the field's [`EncodeError`] label.
+impl Wire for usize {
+    type Spec = &'static str;
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.u32_of(field, *self)
+    }
+
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, FrameError> {
+        Ok(u32::get(r, ())? as usize)
     }
 }
 
-fn encode_ap_report(w: &mut Writer, report: &ApReport) {
-    w.u64(report.cycles);
-    w.f64(report.latency.as_seconds());
-    w.f64(report.energy.as_joules());
-}
+/// A match event — `(end position, pattern index)` — travels as two
+/// `u64`s, unlike a lone `usize`.
+impl Wire for (usize, usize) {
+    type Spec = ();
+    const MIN_BYTES: usize = 16;
 
-fn decode_ap_report(r: &mut Reader<'_>) -> Result<ApReport, FrameError> {
-    Ok(ApReport {
-        cycles: r.u64()?,
-        latency: Seconds::new(r.f64()?),
-        energy: Joules::new(r.f64()?),
-    })
-}
-
-fn encode_ap_matches(w: &mut Writer, run: &crate::ApMatches) -> Result<(), EncodeError> {
-    w.u8(u8::from(run.accepted));
-    w.u64(run.symbols);
-    encode_ap_report(w, &run.report);
-    w.u32_of("match count", run.matches.len())?;
-    for &(pos, pattern) in &run.matches {
-        w.u64(pos as u64);
-        w.u64(pattern as u64);
+    fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        (self.0 as u64).put(w, ())?;
+        (self.1 as u64).put(w, ())
     }
-    Ok(())
+
+    fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+        Ok((u64::get(r, ())? as usize, u64::get(r, ())? as usize))
+    }
 }
 
-fn decode_ap_matches(r: &mut Reader<'_>) -> Result<crate::ApMatches, FrameError> {
-    let accepted = r.bool()?;
-    let symbols = r.u64()?;
-    let report = decode_ap_report(r)?;
-    let n = r.count(16)?;
-    let matches = (0..n)
-        .map(|_| Ok((r.u64()? as usize, r.u64()? as usize)))
-        .collect::<Result<Vec<_>, FrameError>>()?;
-    Ok(crate::ApMatches { accepted, matches, symbols, report })
+/// A `u32` byte length, then UTF-8.
+impl Wire for String {
+    type Spec = &'static str;
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.u32_of(field, self.len())?;
+        u8::put_all(self.as_bytes(), w, ())
+    }
+
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, FrameError> {
+        let len = r.count(1)?;
+        let bytes = u8::get_all(r, len, ())?;
+        String::from_utf8(bytes).map_err(|_| FrameError::BadPayload("invalid UTF-8"))
+    }
+}
+
+/// A `u32` bit length, then the `u64` words; set bits past the length
+/// are refused.
+impl Wire for BitVec {
+    type Spec = &'static str;
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut Writer, field: &'static str) -> Result<(), EncodeError> {
+        w.u32_of(field, self.len())?;
+        u64::put_all(self.as_words(), w, ())
+    }
+
+    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, FrameError> {
+        let bits = u32::get(r, ())? as usize;
+        let words = bits.div_ceil(64);
+        if words.checked_mul(8).is_none_or(|need| need > r.remaining()) {
+            return Err(FrameError::BadPayload("bit vector exceeds frame"));
+        }
+        let mut out = BitVec::new(bits);
+        for w in 0..words {
+            let mut word = u64::get(r, ())?;
+            while word != 0 {
+                let index = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                if index >= bits {
+                    return Err(FrameError::BadPayload("set bit beyond bit vector length"));
+                }
+                out.set(index, true);
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// How a `Vec` field travels: a `u32` count labelled `count`, then each
+/// element under `each`. The decoder refuses a count outside
+/// `min..=max` with `refusal`, before decoding any element.
+#[derive(Clone, Copy)]
+struct Seq<S> {
+    count: &'static str,
+    each: S,
+    min: usize,
+    max: usize,
+    refusal: &'static str,
+}
+
+/// An unbounded sequence spec.
+fn seq<S>(count: &'static str, each: S) -> Seq<S> {
+    Seq { count, each, min: 0, max: usize::MAX, refusal: "" }
+}
+
+impl<S> Seq<S> {
+    fn within(self, min: usize, max: usize, refusal: &'static str) -> Self {
+        Self { min, max, refusal, ..self }
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    type Spec = Seq<T::Spec>;
+    const MIN_BYTES: usize = 4;
+
+    fn put(&self, w: &mut Writer, spec: Self::Spec) -> Result<(), EncodeError> {
+        w.u32_of(spec.count, self.len())?;
+        T::put_all(self, w, spec.each)
+    }
+
+    fn get(r: &mut Reader<'_>, spec: Self::Spec) -> Result<Self, FrameError> {
+        let n = r.count(T::MIN_BYTES)?;
+        if !(spec.min..=spec.max).contains(&n) {
+            return Err(FrameError::BadPayload(spec.refusal));
+        }
+        T::get_all(r, n, spec.each)
+    }
+}
+
+/// `quota_remaining`: `u64::MAX` is the no-quota sentinel — a real
+/// limit of `u64::MAX` admits jobs faster than anyone can count.
+impl Wire for Option<u64> {
+    type Spec = ();
+    const MIN_BYTES: usize = 8;
+
+    fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        self.unwrap_or(u64::MAX).put(w, ())
+    }
+
+    fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+        Ok(Some(u64::get(r, ())?).filter(|&limit| limit != u64::MAX))
+    }
+}
+
+/// `rate`: a presence byte, then the headroom when present.
+impl Wire for Option<WireRate> {
+    type Spec = ();
+    const MIN_BYTES: usize = 1;
+
+    fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        self.is_some().put(w, ())?;
+        self.as_ref().map_or(Ok(()), |rate| rate.put(w, ()))
+    }
+
+    fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+        if bool::get(r, ())? {
+            WireRate::get(r, ()).map(Some)
+        } else {
+            Ok(None)
+        }
+    }
+}
+
+impl Wire for ErrorCode {
+    type Spec = ();
+    const MIN_BYTES: usize = 2;
+
+    fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+        self.as_u16().put(w, ())
+    }
+
+    fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+        u16::get(r, ()).map(ErrorCode::from_u16)
+    }
+}
+
+/// Gives a payload struct its [`Wire`] layout from one field list in
+/// wire order: each field's type and, where the type needs one, its
+/// spec (`= spec`). The `pub struct` form also defines the struct, so
+/// each field — a `Stats` counter, say — is written exactly once.
+macro_rules! wire_struct {
+    (
+        $(#[$meta:meta])*
+        pub struct $name:ident {
+            $($(#[$fmeta:meta])* pub $field:ident: $ty:ty $(= $spec:expr)?,)*
+        }
+    ) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[$fmeta])* pub $field: $ty,)*
+        }
+
+        wire_struct!(impl $name { $($field: $ty $(= $spec)?,)* });
+    };
+    (impl $name:path { $($field:ident: $ty:ty $(= $spec:expr)?,)* }) => {
+        impl Wire for $name {
+            type Spec = ();
+            const MIN_BYTES: usize = 0 $(+ <$ty as Wire>::MIN_BYTES)*;
+
+            fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+                $(self.$field.put(w, spec!($($spec)?))?;)*
+                Ok(())
+            }
+
+            fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+                Ok(Self { $($field: Wire::get(r, spec!($($spec)?))?,)* })
+            }
+        }
+    };
+}
+
+wire_struct!(impl ApReport { cycles: u64, latency: Seconds, energy: Joules, });
+
+wire_struct!(impl crate::ApMatches {
+    accepted: bool,
+    symbols: u64,
+    report: ApReport,
+    matches: Vec<(usize, usize)> = seq("match count", ()),
+});
+
+wire_struct!(impl crate::CorrFeedReport { events: u64, energy: Joules, busy: Seconds, });
+
+wire_struct!(impl crate::CorrOutcome {
+    correlated: BitVec = "correlated set",
+    scores: Vec<u64> = seq("score count", ()),
+    events: u64,
+    threshold: u64,
+});
+
+/// The smallest of `sizes`: a tagged union's lightest variant.
+const fn min_of(sizes: &[usize]) -> usize {
+    let mut min = usize::MAX;
+    let mut i = 0;
+    while i < sizes.len() {
+        if sizes[i] < min {
+            min = sizes[i];
+        }
+        i += 1;
+    }
+    min
+}
+
+/// An instruction is a tag byte, then its variant's fields.
+macro_rules! wire_instruction {
+    ($($tag:literal => $variant:ident { $($field:ident: $ty:ty = $spec:expr,)* },)*) => {
+        impl Wire for Instruction {
+            type Spec = ();
+            const MIN_BYTES: usize = 1 + min_of(&[$(0 $(+ <$ty as Wire>::MIN_BYTES)*),*]);
+
+            fn put(&self, w: &mut Writer, (): ()) -> Result<(), EncodeError> {
+                match self {
+                    $(Instruction::$variant { $($field),* } => {
+                        $tag.put(w, ())?;
+                        $($field.put(w, $spec)?;)*
+                    })*
+                }
+                Ok(())
+            }
+
+            fn get(r: &mut Reader<'_>, (): ()) -> Result<Self, FrameError> {
+                match u8::get(r, ())? {
+                    $($tag => Ok(Instruction::$variant { $($field: Wire::get(r, $spec)?),* }),)*
+                    _ => Err(FrameError::BadPayload("unknown instruction tag")),
+                }
+            }
+        }
+    };
+}
+
+wire_instruction! {
+    0u8 => Store { row: usize = "store row", data: BitVec = "store data", },
+    1u8 => Or {
+        srcs: Vec<usize> = seq("OR source count", "OR source row"),
+        dst: usize = "OR destination row",
+    },
+    2u8 => And {
+        srcs: Vec<usize> = seq("AND source count", "AND source row"),
+        dst: usize = "AND destination row",
+    },
+    3u8 => Xor {
+        a: usize = "XOR operand row",
+        b: usize = "XOR operand row",
+        dst: usize = "XOR destination row",
+    },
+    4u8 => Read { row: usize = "read row", },
+}
+
+/// Defines a verb enum and its frame codec from one variant list: each
+/// variant's opcode, then its fields in wire order with their types and,
+/// where the type needs one, their spec (`= spec`). A newtype variant
+/// names a binding for its payload: `Mvp(result: WireMvpResult)`.
+macro_rules! verbs {
+    (
+        $(#[$meta:meta])*
+        pub enum $name:ident {
+            $(
+                $(#[$vmeta:meta])*
+                $op:ident => $variant:ident
+                $(($inner:ident: $ity:ty $(= $ispec:expr)?))?
+                $({ $($(#[$fmeta:meta])* $field:ident: $fty:ty $(= $fspec:expr)?,)* })?,
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        pub enum $name {
+            $(
+                $(#[$vmeta])*
+                $variant $(($ity))? $({ $($(#[$fmeta])* $field: $fty,)* })?,
+            )*
+        }
+
+        impl $name {
+            /// Encodes the verb into a frame body (opcode + payload).
+            ///
+            /// # Errors
+            ///
+            /// [`EncodeError`] when a field's length or index does not
+            /// fit the wire format's 32-bit fields; nothing is silently
+            /// truncated.
+            pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
+                let w = match self {
+                    $($name::$variant $(($inner))? $({ $($field),* })? => Writer::new($op)
+                        $(.with($inner, spec!($($ispec)?))?)?
+                        $($(.with($field, spec!($($fspec)?))?)*)?,)*
+                };
+                Ok(w.buf)
+            }
+
+            /// Decodes a frame body into a verb.
+            ///
+            /// # Errors
+            ///
+            /// [`FrameError`] on truncation, trailing bytes, unknown
+            /// opcodes or invalid field values; the body is never
+            /// trusted further than the bytes it actually contains.
+            pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
+                let mut r = Reader::new(body);
+                let verb = match u8::get(&mut r, ())? {
+                    $($op => $name::$variant
+                        $((<$ity as Wire>::get(&mut r, spec!($($ispec)?))?))?
+                        $({ $($field: Wire::get(&mut r, spec!($($fspec)?))?,)* })?,)*
+                    other => return Err(FrameError::UnknownOpcode(other)),
+                };
+                r.finish()?;
+                Ok(verb)
+            }
+        }
+    };
 }
 
 // --- Requests ---------------------------------------------------------
 
-/// A client-to-server verb.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Request {
-    /// Authenticates the connection; must be the first frame.
-    Hello {
-        /// The tenant this connection will act as.
-        tenant: TenantId,
-        /// The tenant's secret token.
-        token: String,
-    },
-    /// Submits MVP macro-instruction programs: a single program enters
-    /// the coalescer like an in-process [`Job::MvpProgram`]; several
-    /// execute as one pre-assembled batch.
-    ///
-    /// [`Job::MvpProgram`]: crate::Job::MvpProgram
-    Submit {
-        /// The programs; must be non-empty.
-        programs: Vec<Vec<Instruction>>,
-    },
-    /// Compiles patterns into a streaming AP session.
-    ApOpen {
-        /// The regex patterns (capped at 1024 per request).
-        patterns: Vec<String>,
-    },
-    /// Streams one chunk of input through an open session.
-    ApFeed {
-        /// The session to feed.
-        session: SessionId,
-        /// The input bytes.
-        chunk: Vec<u8>,
-    },
-    /// Ends a session's stream and collects its matches.
-    ApFinish {
-        /// The session to finish.
-        session: SessionId,
-    },
-    /// Drops a session — any streaming workload kind, not only AP.
-    ApClose {
-        /// The session to close.
-        session: SessionId,
-    },
-    /// Requests the authenticated tenant's accumulated usage.
-    Usage,
-    /// Requests service-wide health and load counters.
-    Stats,
-    /// Opens a streaming temporal-correlation session.
-    CorrOpen {
-        /// Event streams the session tracks.
-        streams: usize,
-        /// Co-activation score above which a stream is reported
-        /// correlated.
-        threshold: u64,
-    },
-    /// Streams one time window — one activity bit vector per stream,
-    /// all the same width — through an open correlation session.
-    CorrFeed {
-        /// The session to feed.
-        session: SessionId,
-        /// Per-stream activity over the window's steps.
-        window: Vec<BitVec>,
-    },
-    /// Ends a correlation session's stream and collects the correlated
-    /// set; the session resets and stays open for the next stream.
-    CorrFinish {
-        /// The session to finish.
-        session: SessionId,
-    },
-    /// Streams one chunk into **each** lane of an AP session:
-    /// `chunks[i]` goes to lane `i`, lanes growing on demand (capped at
-    /// 64 per request).
-    ApFeedMany {
-        /// The session to feed.
-        session: SessionId,
-        /// Per-lane input bytes.
-        chunks: Vec<Vec<u8>>,
-    },
-    /// Ends the current stream of every lane of an AP session and
-    /// collects per-lane matches.
-    ApFinishMany {
-        /// The session to finish.
-        session: SessionId,
-    },
-}
-
-impl Request {
-    /// Encodes the verb into a frame body (opcode + payload).
-    ///
-    /// # Errors
-    ///
-    /// [`EncodeError`] when a field's length or index does not fit the
-    /// wire format's 32-bit fields; nothing is silently truncated.
-    pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let body = match self {
-            Request::Hello { tenant, token } => {
-                let mut w = Writer::new(OP_HELLO);
-                w.u64(*tenant);
-                w.string("token", token)?;
-                w.buf
-            }
-            Request::Submit { programs } => {
-                let mut w = Writer::new(OP_SUBMIT);
-                w.u32_of("program count", programs.len())?;
-                for program in programs {
-                    w.u32_of("instruction count", program.len())?;
-                    for instruction in program {
-                        encode_instruction(&mut w, instruction)?;
-                    }
-                }
-                w.buf
-            }
-            Request::ApOpen { patterns } => {
-                let mut w = Writer::new(OP_AP_OPEN);
-                w.u32_of("pattern count", patterns.len())?;
-                for pattern in patterns {
-                    w.string("pattern", pattern)?;
-                }
-                w.buf
-            }
-            Request::ApFeed { session, chunk } => {
-                let mut w = Writer::new(OP_AP_FEED);
-                w.u64(*session);
-                w.bytes("chunk", chunk)?;
-                w.buf
-            }
-            Request::ApFinish { session } => {
-                let mut w = Writer::new(OP_AP_FINISH);
-                w.u64(*session);
-                w.buf
-            }
-            Request::ApClose { session } => {
-                let mut w = Writer::new(OP_AP_CLOSE);
-                w.u64(*session);
-                w.buf
-            }
-            Request::Usage => Writer::new(OP_USAGE).buf,
-            Request::Stats => Writer::new(OP_STATS).buf,
-            Request::CorrOpen { streams, threshold } => {
-                let mut w = Writer::new(OP_CORR_OPEN);
-                w.u32_of("stream count", *streams)?;
-                w.u64(*threshold);
-                w.buf
-            }
-            Request::CorrFeed { session, window } => {
-                let mut w = Writer::new(OP_CORR_FEED);
-                w.u64(*session);
-                w.u32_of("window stream count", window.len())?;
-                for stream in window {
-                    w.bitvec("window stream", stream)?;
-                }
-                w.buf
-            }
-            Request::CorrFinish { session } => {
-                let mut w = Writer::new(OP_CORR_FINISH);
-                w.u64(*session);
-                w.buf
-            }
-            Request::ApFeedMany { session, chunks } => {
-                let mut w = Writer::new(OP_AP_FEED_MANY);
-                w.u64(*session);
-                w.u32_of("stream count", chunks.len())?;
-                for chunk in chunks {
-                    w.bytes("chunk", chunk)?;
-                }
-                w.buf
-            }
-            Request::ApFinishMany { session } => {
-                let mut w = Writer::new(OP_AP_FINISH_MANY);
-                w.u64(*session);
-                w.buf
-            }
-        };
-        Ok(body)
-    }
-
-    /// Decodes a frame body into a request verb.
-    ///
-    /// # Errors
-    ///
-    /// [`FrameError`] on truncation, trailing bytes, unknown opcodes or
-    /// invalid field values; the body is never trusted further than the
-    /// bytes it actually contains.
-    pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(body);
-        let request = match r.u8()? {
-            OP_HELLO => Request::Hello { tenant: r.u64()?, token: r.string()? },
-            OP_SUBMIT => {
-                let n = r.count(4)?;
-                if n == 0 {
-                    return Err(FrameError::BadPayload("empty submission"));
-                }
-                let mut programs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = r.count(5)?;
-                    let mut program = Vec::with_capacity(len);
-                    for _ in 0..len {
-                        program.push(decode_instruction(&mut r)?);
-                    }
-                    programs.push(program);
-                }
-                Request::Submit { programs }
-            }
-            OP_AP_OPEN => {
-                let n = r.count(4)?;
-                if n == 0 || n > MAX_PATTERNS {
-                    return Err(FrameError::BadPayload("pattern count out of range"));
-                }
-                let patterns = (0..n).map(|_| r.string()).collect::<Result<Vec<_>, _>>()?;
-                Request::ApOpen { patterns }
-            }
-            OP_AP_FEED => Request::ApFeed { session: r.u64()?, chunk: r.bytes()? },
-            OP_AP_FINISH => Request::ApFinish { session: r.u64()? },
-            OP_AP_CLOSE => Request::ApClose { session: r.u64()? },
-            OP_USAGE => Request::Usage,
-            OP_STATS => Request::Stats,
-            OP_CORR_OPEN => Request::CorrOpen { streams: r.u32()? as usize, threshold: r.u64()? },
-            OP_CORR_FEED => {
-                let session = r.u64()?;
-                let n = r.count(4)?;
-                let window = (0..n).map(|_| r.bitvec()).collect::<Result<Vec<_>, _>>()?;
-                Request::CorrFeed { session, window }
-            }
-            OP_CORR_FINISH => Request::CorrFinish { session: r.u64()? },
-            OP_AP_FEED_MANY => {
-                let session = r.u64()?;
-                let n = r.count(4)?;
-                if n == 0 || n > MAX_STREAMS {
-                    return Err(FrameError::BadPayload("stream count out of range"));
-                }
-                let chunks = (0..n).map(|_| r.bytes()).collect::<Result<Vec<_>, _>>()?;
-                Request::ApFeedMany { session, chunks }
-            }
-            OP_AP_FINISH_MANY => Request::ApFinishMany { session: r.u64()? },
-            other => return Err(FrameError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(request)
+verbs! {
+    /// A client-to-server verb.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Request {
+        /// Authenticates the connection; must be the first frame.
+        OP_HELLO => Hello {
+            /// The tenant this connection will act as.
+            tenant: TenantId,
+            /// The tenant's secret token.
+            token: String = "token",
+        },
+        /// Submits MVP macro-instruction programs: a single program enters
+        /// the coalescer like an in-process [`Job::MvpProgram`]; several
+        /// execute as one pre-assembled batch.
+        ///
+        /// [`Job::MvpProgram`]: crate::Job::MvpProgram
+        OP_SUBMIT => Submit {
+            /// The programs; must be non-empty.
+            programs: Vec<Vec<Instruction>> = seq("program count", seq("instruction count", ()))
+                .within(1, usize::MAX, "empty submission"),
+        },
+        /// Compiles patterns into a streaming AP session.
+        OP_AP_OPEN => ApOpen {
+            /// The regex patterns (capped at 1024 per request).
+            patterns: Vec<String> = seq("pattern count", "pattern")
+                .within(1, MAX_PATTERNS, "pattern count out of range"),
+        },
+        /// Streams one chunk of input through an open session.
+        OP_AP_FEED => ApFeed {
+            /// The session to feed.
+            session: SessionId,
+            /// The input bytes.
+            chunk: Vec<u8> = seq("chunk", ()),
+        },
+        /// Ends a session's stream and collects its matches.
+        OP_AP_FINISH => ApFinish {
+            /// The session to finish.
+            session: SessionId,
+        },
+        /// Drops a session — any streaming workload kind, not only AP.
+        OP_AP_CLOSE => ApClose {
+            /// The session to close.
+            session: SessionId,
+        },
+        /// Requests the authenticated tenant's accumulated usage.
+        OP_USAGE => Usage,
+        /// Requests service-wide health and load counters.
+        OP_STATS => Stats,
+        /// Opens a streaming temporal-correlation session.
+        OP_CORR_OPEN => CorrOpen {
+            /// Event streams the session tracks.
+            streams: usize = "stream count",
+            /// Co-activation score above which a stream is reported
+            /// correlated.
+            threshold: u64,
+        },
+        /// Streams one time window — one activity bit vector per stream,
+        /// all the same width — through an open correlation session.
+        OP_CORR_FEED => CorrFeed {
+            /// The session to feed.
+            session: SessionId,
+            /// Per-stream activity over the window's steps.
+            window: Vec<BitVec> = seq("window stream count", "window stream"),
+        },
+        /// Ends a correlation session's stream and collects the correlated
+        /// set; the session resets and stays open for the next stream.
+        OP_CORR_FINISH => CorrFinish {
+            /// The session to finish.
+            session: SessionId,
+        },
+        /// Streams one chunk into **each** lane of an AP session:
+        /// `chunks[i]` goes to lane `i`, lanes growing on demand (capped at
+        /// 64 per request).
+        OP_AP_FEED_MANY => ApFeedMany {
+            /// The session to feed.
+            session: SessionId,
+            /// Per-lane input bytes.
+            chunks: Vec<Vec<u8>> = seq("stream count", seq("chunk", ()))
+                .within(1, MAX_STREAMS, "stream count out of range"),
+        },
+        /// Ends the current stream of every lane of an AP session and
+        /// collects per-lane matches.
+        OP_AP_FINISH_MANY => ApFinishMany {
+            /// The session to finish.
+            session: SessionId,
+        },
     }
 }
 
 // --- Responses --------------------------------------------------------
 
-/// The wire-visible result of a `Submit`: program outputs plus the
-/// burst-level cost summary (counts and physical totals; the full
-/// [`OpLedger`] breakdown stays server-side in the tenant's bill).
-///
-/// [`OpLedger`]: memcim_crossbar::OpLedger
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireMvpResult {
-    /// `outputs[i]` holds the `Read` results of the `i`-th submitted
-    /// program, in program order.
-    pub outputs: Vec<Vec<BitVec>>,
-    /// Jobs coalesced into the burst this submission rode in.
-    pub jobs: u64,
-    /// Programs executed across the burst.
-    pub programs: u64,
-    /// The burst's dynamic energy.
-    pub energy: Joules,
-    /// The burst's engine busy time.
-    pub busy: Seconds,
-}
-
-/// The wire-visible form of a tenant's [`TenantUsage`] bill.
-///
-/// [`TenantUsage`]: crate::TenantUsage
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireUsage {
-    /// MVP jobs completed.
-    pub mvp_jobs: u64,
-    /// MVP row reads billed.
-    pub mvp_reads: u64,
-    /// MVP scouting operations billed.
-    pub mvp_scouting_ops: u64,
-    /// MVP row programs billed.
-    pub mvp_programs: u64,
-    /// ECC-corrected upsets observed while serving this tenant.
-    pub mvp_corrected_errors: u64,
-    /// MVP dynamic energy billed.
-    pub mvp_energy: Joules,
-    /// MVP engine time billed.
-    pub mvp_busy: Seconds,
-    /// AP jobs (feeds and finishes) completed.
-    pub ap_jobs: u64,
-    /// Input symbols streamed through the tenant's sessions.
-    pub ap_symbols: u64,
-    /// AP dynamic energy billed.
-    pub ap_energy: Joules,
-    /// AP pipeline latency billed.
-    pub ap_busy: Seconds,
-    /// Correlation jobs (feeds and finishes) completed.
-    pub corr_jobs: u64,
-    /// Event stream-slots billed through correlation session
-    /// watermarks (the engine work itself lands on the MVP ledger).
-    pub corr_events: u64,
-    /// Jobs the tenant may still admit before its configured quota
-    /// refuses with [`ErrorCode::QuotaExceeded`]; `None` when the
-    /// tenant is not quota-limited.
-    pub quota_remaining: Option<u64>,
-    /// The tenant's rate-limit headroom; `None` when the tenant is not
-    /// rate-limited.
-    pub rate: Option<WireRate>,
-}
-
-/// A rate-limited tenant's token-bucket headroom, as reported by the
-/// `Usage` verb.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WireRate {
-    /// Tokens currently available (jobs admissible right now without a
-    /// [`ErrorCode::RateLimited`] refusal).
-    pub tokens: f64,
-    /// The bucket's capacity — the largest instantaneous burst the
-    /// tenant can ever spend.
-    pub burst: u32,
-}
-
-/// One tenant's row in a [`WireStats`] report.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TenantStat {
-    /// The tenant.
-    pub tenant: TenantId,
-    /// Jobs completed across both engine kinds.
-    pub jobs: u64,
-    /// Total dynamic energy billed.
-    pub energy: Joules,
-    /// Total engine time billed.
-    pub busy: Seconds,
-}
-
-/// Service-wide health and load, as exposed by the `Stats` verb.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireStats {
-    /// Worker threads serving the queue.
-    pub workers: u64,
-    /// Engines still healthy (serving MVP jobs).
-    pub live_engines: u64,
-    /// Engines retired after fault-fatal errors.
-    pub retired_engines: u64,
-    /// Jobs currently queued.
-    pub queue_depth: u64,
-    /// The bounded queue's capacity.
-    pub queue_capacity: u64,
-    /// Open AP sessions.
-    pub sessions: u64,
-    /// Shards in the placement catalog (0 when unsharded).
-    pub shards: u64,
-    /// Replicas per shard (0 when unsharded).
-    pub replicas: u64,
-    /// Shards whose whole replica set is dead — sub-queries touching
-    /// them fail with [`ErrorCode::ShardUnavailable`].
-    pub unavailable_shards: u64,
-    /// AP session opens whose hierarchical routing fell back to a
-    /// dense matrix.
-    pub routing_fallbacks: u64,
-    /// AP session opens served from the compile cache.
-    pub ap_cache_hits: u64,
-    /// AP session opens that had to compile.
-    pub ap_cache_misses: u64,
-    /// MVP submissions whose static verification was served from the
-    /// verify cache.
-    pub mvp_cache_hits: u64,
-    /// MVP program verifications that actually ran.
-    pub mvp_cache_misses: u64,
-    /// Per-tenant usage rows, sorted by tenant id.
-    pub tenants: Vec<TenantStat>,
-}
-
-/// A server-to-client verb.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub enum Response {
-    /// `Hello` accepted; the connection is bound to its tenant.
-    HelloOk,
-    /// A `Submit` completed.
-    Mvp(WireMvpResult),
-    /// An `ApOpen` compiled; the session is ready to feed.
-    ApOpened {
-        /// The new session's id.
-        session: SessionId,
-        /// Hierarchical routing ran out of global wires and the session
-        /// runs on a dense routing matrix (functionally identical,
-        /// costlier per symbol).
-        routing_fallback: bool,
-        /// The compiled automaton came from the server's compile cache.
-        cache_hit: bool,
-    },
-    /// An `ApFeed` ran; the report is cumulative for the stream so far.
-    ApFed(ApReport),
-    /// An `ApFinish` ran: anchored acceptance, `(end position, pattern
-    /// index)` match events, symbols and stream cost.
-    ApFinished(crate::ApMatches),
-    /// An `ApClose` dropped the session.
-    ApClosed,
-    /// The tenant's accumulated bill.
-    Usage(WireUsage),
-    /// Service-wide health and load.
-    Stats(WireStats),
-    /// A `CorrOpen` registered; the session is ready to feed.
-    CorrOpened {
-        /// The new session's id.
-        session: SessionId,
-    },
-    /// A `CorrFeed` ran; the report is cumulative for the stream so
-    /// far.
-    CorrFed(crate::CorrFeedReport),
-    /// A `CorrFinish` ran: the thresholded correlated set with its
-    /// evidence.
-    CorrReport(crate::CorrOutcome),
-    /// An `ApFeedMany` ran; per-lane cumulative reports, in lane order.
-    ApFedMany(Vec<ApReport>),
-    /// An `ApFinishMany` ran; per-lane stream results, in lane order.
-    ApFinishedMany(Vec<crate::ApMatches>),
-    /// The request failed; `code` is machine-readable, `message` is for
-    /// the operator's log.
-    Error {
-        /// The typed failure code.
-        code: ErrorCode,
-        /// Human-readable detail.
-        message: String,
-    },
-}
-
-impl Response {
-    /// Encodes the verb into a frame body (opcode + payload).
+wire_struct! {
+    /// The wire-visible result of a `Submit`: program outputs plus the
+    /// burst-level cost summary (counts and physical totals; the full
+    /// [`OpLedger`] breakdown stays server-side in the tenant's bill).
     ///
-    /// # Errors
-    ///
-    /// [`EncodeError`] exactly as [`Request::encode`].
-    pub fn encode(&self) -> Result<Vec<u8>, EncodeError> {
-        let body = match self {
-            Response::HelloOk => Writer::new(OP_HELLO_OK).buf,
-            Response::Mvp(result) => {
-                let mut w = Writer::new(OP_MVP_RESULT);
-                w.u64(result.jobs);
-                w.u64(result.programs);
-                w.f64(result.energy.as_joules());
-                w.f64(result.busy.as_seconds());
-                w.u32_of("output count", result.outputs.len())?;
-                for reads in &result.outputs {
-                    w.u32_of("read count", reads.len())?;
-                    for read in reads {
-                        w.bitvec("read output", read)?;
-                    }
-                }
-                w.buf
-            }
-            Response::ApOpened { session, routing_fallback, cache_hit } => {
-                let mut w = Writer::new(OP_AP_OPENED);
-                w.u64(*session);
-                w.u8(u8::from(*routing_fallback));
-                w.u8(u8::from(*cache_hit));
-                w.buf
-            }
-            Response::ApFed(report) => {
-                let mut w = Writer::new(OP_AP_FEED_OK);
-                encode_ap_report(&mut w, report);
-                w.buf
-            }
-            Response::ApFinished(run) => {
-                let mut w = Writer::new(OP_AP_MATCHES);
-                encode_ap_matches(&mut w, run)?;
-                w.buf
-            }
-            Response::ApClosed => Writer::new(OP_AP_CLOSED).buf,
-            Response::Usage(usage) => {
-                let mut w = Writer::new(OP_USAGE_REPORT);
-                w.u64(usage.mvp_jobs);
-                w.u64(usage.mvp_reads);
-                w.u64(usage.mvp_scouting_ops);
-                w.u64(usage.mvp_programs);
-                w.u64(usage.mvp_corrected_errors);
-                w.f64(usage.mvp_energy.as_joules());
-                w.f64(usage.mvp_busy.as_seconds());
-                w.u64(usage.ap_jobs);
-                w.u64(usage.ap_symbols);
-                w.f64(usage.ap_energy.as_joules());
-                w.f64(usage.ap_busy.as_seconds());
-                w.u64(usage.corr_jobs);
-                w.u64(usage.corr_events);
-                // `u64::MAX` is the no-quota sentinel: a real limit of
-                // u64::MAX admits jobs faster than anyone can count.
-                w.u64(usage.quota_remaining.unwrap_or(u64::MAX));
-                match usage.rate {
-                    Some(rate) => {
-                        w.u8(1);
-                        w.f64(rate.tokens);
-                        w.u32(rate.burst);
-                    }
-                    None => w.u8(0),
-                }
-                w.buf
-            }
-            Response::Stats(stats) => {
-                let mut w = Writer::new(OP_STATS_REPORT);
-                w.u64(stats.workers);
-                w.u64(stats.live_engines);
-                w.u64(stats.retired_engines);
-                w.u64(stats.queue_depth);
-                w.u64(stats.queue_capacity);
-                w.u64(stats.sessions);
-                w.u64(stats.shards);
-                w.u64(stats.replicas);
-                w.u64(stats.unavailable_shards);
-                w.u64(stats.routing_fallbacks);
-                w.u64(stats.ap_cache_hits);
-                w.u64(stats.ap_cache_misses);
-                w.u64(stats.mvp_cache_hits);
-                w.u64(stats.mvp_cache_misses);
-                w.u32_of("tenant count", stats.tenants.len())?;
-                for row in &stats.tenants {
-                    w.u64(row.tenant);
-                    w.u64(row.jobs);
-                    w.f64(row.energy.as_joules());
-                    w.f64(row.busy.as_seconds());
-                }
-                w.buf
-            }
-            Response::CorrOpened { session } => {
-                let mut w = Writer::new(OP_CORR_OPENED);
-                w.u64(*session);
-                w.buf
-            }
-            Response::CorrFed(report) => {
-                let mut w = Writer::new(OP_CORR_FEED_OK);
-                w.u64(report.events);
-                w.f64(report.energy.as_joules());
-                w.f64(report.busy.as_seconds());
-                w.buf
-            }
-            Response::CorrReport(outcome) => {
-                let mut w = Writer::new(OP_CORR_REPORT);
-                w.bitvec("correlated set", &outcome.correlated)?;
-                w.u32_of("score count", outcome.scores.len())?;
-                for &score in &outcome.scores {
-                    w.u64(score);
-                }
-                w.u64(outcome.events);
-                w.u64(outcome.threshold);
-                w.buf
-            }
-            Response::ApFedMany(reports) => {
-                let mut w = Writer::new(OP_AP_FED_MANY);
-                w.u32_of("lane count", reports.len())?;
-                for report in reports {
-                    encode_ap_report(&mut w, report);
-                }
-                w.buf
-            }
-            Response::ApFinishedMany(runs) => {
-                let mut w = Writer::new(OP_AP_MATCHES_MANY);
-                w.u32_of("lane count", runs.len())?;
-                for run in runs {
-                    encode_ap_matches(&mut w, run)?;
-                }
-                w.buf
-            }
-            Response::Error { code, message } => {
-                let mut w = Writer::new(OP_ERROR);
-                w.u16(code.as_u16());
-                w.string("error message", message)?;
-                w.buf
-            }
-        };
-        Ok(body)
+    /// [`OpLedger`]: memcim_crossbar::OpLedger
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireMvpResult {
+        /// Jobs coalesced into the burst this submission rode in.
+        pub jobs: u64,
+        /// Programs executed across the burst.
+        pub programs: u64,
+        /// The burst's dynamic energy.
+        pub energy: Joules,
+        /// The burst's engine busy time.
+        pub busy: Seconds,
+        /// `outputs[i]` holds the `Read` results of the `i`-th submitted
+        /// program, in program order.
+        pub outputs: Vec<Vec<BitVec>> = seq("output count", seq("read count", "read output")),
     }
+}
 
-    /// Decodes a frame body into a response verb.
+wire_struct! {
+    /// The wire-visible form of a tenant's [`TenantUsage`] bill.
     ///
-    /// # Errors
-    ///
-    /// [`FrameError`] exactly as [`Request::decode`].
-    pub fn decode(body: &[u8]) -> Result<Self, FrameError> {
-        let mut r = Reader::new(body);
-        let response = match r.u8()? {
-            OP_HELLO_OK => Response::HelloOk,
-            OP_MVP_RESULT => {
-                let jobs = r.u64()?;
-                let programs = r.u64()?;
-                let energy = Joules::new(r.f64()?);
-                let busy = Seconds::new(r.f64()?);
-                let n = r.count(4)?;
-                let mut outputs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let reads = r.count(4)?;
-                    let mut program = Vec::with_capacity(reads);
-                    for _ in 0..reads {
-                        program.push(r.bitvec()?);
-                    }
-                    outputs.push(program);
-                }
-                Response::Mvp(WireMvpResult { outputs, jobs, programs, energy, busy })
-            }
-            OP_AP_OPENED => Response::ApOpened {
-                session: r.u64()?,
-                routing_fallback: r.bool()?,
-                cache_hit: r.bool()?,
-            },
-            OP_AP_FEED_OK => Response::ApFed(decode_ap_report(&mut r)?),
-            OP_AP_MATCHES => Response::ApFinished(decode_ap_matches(&mut r)?),
-            OP_AP_CLOSED => Response::ApClosed,
-            OP_USAGE_REPORT => {
-                let mut usage = WireUsage {
-                    mvp_jobs: r.u64()?,
-                    mvp_reads: r.u64()?,
-                    mvp_scouting_ops: r.u64()?,
-                    mvp_programs: r.u64()?,
-                    mvp_corrected_errors: r.u64()?,
-                    mvp_energy: Joules::new(r.f64()?),
-                    mvp_busy: Seconds::new(r.f64()?),
-                    ap_jobs: r.u64()?,
-                    ap_symbols: r.u64()?,
-                    ap_energy: Joules::new(r.f64()?),
-                    ap_busy: Seconds::new(r.f64()?),
-                    corr_jobs: r.u64()?,
-                    corr_events: r.u64()?,
-                    quota_remaining: None,
-                    rate: None,
-                };
-                usage.quota_remaining = match r.u64()? {
-                    u64::MAX => None,
-                    limit => Some(limit),
-                };
-                usage.rate = match r.u8()? {
-                    0 => None,
-                    1 => Some(WireRate { tokens: r.f64()?, burst: r.u32()? }),
-                    _ => return Err(FrameError::BadPayload("boolean out of range")),
-                };
-                Response::Usage(usage)
-            }
-            OP_STATS_REPORT => {
-                let workers = r.u64()?;
-                let live_engines = r.u64()?;
-                let retired_engines = r.u64()?;
-                let queue_depth = r.u64()?;
-                let queue_capacity = r.u64()?;
-                let sessions = r.u64()?;
-                let shards = r.u64()?;
-                let replicas = r.u64()?;
-                let unavailable_shards = r.u64()?;
-                let routing_fallbacks = r.u64()?;
-                let ap_cache_hits = r.u64()?;
-                let ap_cache_misses = r.u64()?;
-                let mvp_cache_hits = r.u64()?;
-                let mvp_cache_misses = r.u64()?;
-                let n = r.count(32)?;
-                let tenants = (0..n)
-                    .map(|_| {
-                        Ok(TenantStat {
-                            tenant: r.u64()?,
-                            jobs: r.u64()?,
-                            energy: Joules::new(r.f64()?),
-                            busy: Seconds::new(r.f64()?),
-                        })
-                    })
-                    .collect::<Result<Vec<_>, FrameError>>()?;
-                Response::Stats(WireStats {
-                    workers,
-                    live_engines,
-                    retired_engines,
-                    queue_depth,
-                    queue_capacity,
-                    sessions,
-                    shards,
-                    replicas,
-                    unavailable_shards,
-                    routing_fallbacks,
-                    ap_cache_hits,
-                    ap_cache_misses,
-                    mvp_cache_hits,
-                    mvp_cache_misses,
-                    tenants,
-                })
-            }
-            OP_CORR_OPENED => Response::CorrOpened { session: r.u64()? },
-            OP_CORR_FEED_OK => Response::CorrFed(crate::CorrFeedReport {
-                events: r.u64()?,
-                energy: Joules::new(r.f64()?),
-                busy: Seconds::new(r.f64()?),
-            }),
-            OP_CORR_REPORT => {
-                let correlated = r.bitvec()?;
-                let n = r.count(8)?;
-                let scores = (0..n).map(|_| r.u64()).collect::<Result<Vec<_>, _>>()?;
-                let events = r.u64()?;
-                let threshold = r.u64()?;
-                Response::CorrReport(crate::CorrOutcome { correlated, scores, events, threshold })
-            }
-            OP_AP_FED_MANY => {
-                let n = r.count(24)?;
-                let reports =
-                    (0..n).map(|_| decode_ap_report(&mut r)).collect::<Result<Vec<_>, _>>()?;
-                Response::ApFedMany(reports)
-            }
-            OP_AP_MATCHES_MANY => {
-                let n = r.count(33)?;
-                let runs =
-                    (0..n).map(|_| decode_ap_matches(&mut r)).collect::<Result<Vec<_>, _>>()?;
-                Response::ApFinishedMany(runs)
-            }
-            OP_ERROR => {
-                Response::Error { code: ErrorCode::from_u16(r.u16()?), message: r.string()? }
-            }
-            other => return Err(FrameError::UnknownOpcode(other)),
-        };
-        r.finish()?;
-        Ok(response)
+    /// [`TenantUsage`]: crate::TenantUsage
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct WireUsage {
+        /// MVP jobs completed.
+        pub mvp_jobs: u64,
+        /// MVP row reads billed.
+        pub mvp_reads: u64,
+        /// MVP scouting operations billed.
+        pub mvp_scouting_ops: u64,
+        /// MVP row programs billed.
+        pub mvp_programs: u64,
+        /// ECC-corrected upsets observed while serving this tenant.
+        pub mvp_corrected_errors: u64,
+        /// MVP dynamic energy billed.
+        pub mvp_energy: Joules,
+        /// MVP engine time billed.
+        pub mvp_busy: Seconds,
+        /// AP jobs (feeds and finishes) completed.
+        pub ap_jobs: u64,
+        /// Input symbols streamed through the tenant's sessions.
+        pub ap_symbols: u64,
+        /// AP dynamic energy billed.
+        pub ap_energy: Joules,
+        /// AP pipeline latency billed.
+        pub ap_busy: Seconds,
+        /// Correlation jobs (feeds and finishes) completed.
+        pub corr_jobs: u64,
+        /// Event stream-slots billed through correlation session
+        /// watermarks (the engine work itself lands on the MVP ledger).
+        pub corr_events: u64,
+        /// Jobs the tenant may still admit before its configured quota
+        /// refuses with [`ErrorCode::QuotaExceeded`]; `None` when the
+        /// tenant is not quota-limited.
+        pub quota_remaining: Option<u64>,
+        /// The tenant's rate-limit headroom; `None` when the tenant is not
+        /// rate-limited.
+        pub rate: Option<WireRate>,
+    }
+}
+
+wire_struct! {
+    /// A rate-limited tenant's token-bucket headroom, as reported by the
+    /// `Usage` verb.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct WireRate {
+        /// Tokens currently available (jobs admissible right now without a
+        /// [`ErrorCode::RateLimited`] refusal).
+        pub tokens: f64,
+        /// The bucket's capacity — the largest instantaneous burst the
+        /// tenant can ever spend.
+        pub burst: u32,
+    }
+}
+
+wire_struct! {
+    /// One tenant's row in a [`WireStats`] report.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    pub struct TenantStat {
+        /// The tenant.
+        pub tenant: TenantId,
+        /// Jobs completed across both engine kinds.
+        pub jobs: u64,
+        /// Total dynamic energy billed.
+        pub energy: Joules,
+        /// Total engine time billed.
+        pub busy: Seconds,
+    }
+}
+
+wire_struct! {
+    /// Service-wide health and load, as exposed by the `Stats` verb.
+    #[derive(Debug, Clone, PartialEq)]
+    pub struct WireStats {
+        /// Worker threads serving the queue.
+        pub workers: u64,
+        /// Engines still healthy (serving MVP jobs).
+        pub live_engines: u64,
+        /// Engines retired after fault-fatal errors.
+        pub retired_engines: u64,
+        /// Jobs currently queued.
+        pub queue_depth: u64,
+        /// The bounded queue's capacity.
+        pub queue_capacity: u64,
+        /// Open AP sessions.
+        pub sessions: u64,
+        /// Shards in the placement catalog (0 when unsharded).
+        pub shards: u64,
+        /// Replicas per shard (0 when unsharded).
+        pub replicas: u64,
+        /// Shards whose whole replica set is dead — sub-queries touching
+        /// them fail with [`ErrorCode::ShardUnavailable`].
+        pub unavailable_shards: u64,
+        /// AP session opens whose hierarchical routing fell back to a
+        /// dense matrix.
+        pub routing_fallbacks: u64,
+        /// AP session opens served from the compile cache.
+        pub ap_cache_hits: u64,
+        /// AP session opens that had to compile.
+        pub ap_cache_misses: u64,
+        /// MVP submissions whose static verification was served from the
+        /// verify cache.
+        pub mvp_cache_hits: u64,
+        /// MVP program verifications that actually ran.
+        pub mvp_cache_misses: u64,
+        /// Per-tenant usage rows, sorted by tenant id.
+        pub tenants: Vec<TenantStat> = seq("tenant count", ()),
+    }
+}
+
+verbs! {
+    /// A server-to-client verb.
+    #[derive(Debug, Clone, PartialEq)]
+    #[non_exhaustive]
+    pub enum Response {
+        /// `Hello` accepted; the connection is bound to its tenant.
+        OP_HELLO_OK => HelloOk,
+        /// A `Submit` completed.
+        OP_MVP_RESULT => Mvp(result: WireMvpResult),
+        /// An `ApOpen` compiled; the session is ready to feed.
+        OP_AP_OPENED => ApOpened {
+            /// The new session's id.
+            session: SessionId,
+            /// Hierarchical routing ran out of global wires and the session
+            /// runs on a dense routing matrix (functionally identical,
+            /// costlier per symbol).
+            routing_fallback: bool,
+            /// The compiled automaton came from the server's compile cache.
+            cache_hit: bool,
+        },
+        /// An `ApFeed` ran; the report is cumulative for the stream so far.
+        OP_AP_FEED_OK => ApFed(report: ApReport),
+        /// An `ApFinish` ran: anchored acceptance, `(end position, pattern
+        /// index)` match events, symbols and stream cost.
+        OP_AP_MATCHES => ApFinished(run: crate::ApMatches),
+        /// An `ApClose` dropped the session.
+        OP_AP_CLOSED => ApClosed,
+        /// The tenant's accumulated bill.
+        OP_USAGE_REPORT => Usage(usage: WireUsage),
+        /// Service-wide health and load.
+        OP_STATS_REPORT => Stats(stats: WireStats),
+        /// A `CorrOpen` registered; the session is ready to feed.
+        OP_CORR_OPENED => CorrOpened {
+            /// The new session's id.
+            session: SessionId,
+        },
+        /// A `CorrFeed` ran; the report is cumulative for the stream so
+        /// far.
+        OP_CORR_FEED_OK => CorrFed(report: crate::CorrFeedReport),
+        /// A `CorrFinish` ran: the thresholded correlated set with its
+        /// evidence.
+        OP_CORR_REPORT => CorrReport(outcome: crate::CorrOutcome),
+        /// An `ApFeedMany` ran; per-lane cumulative reports, in lane order.
+        OP_AP_FED_MANY => ApFedMany(reports: Vec<ApReport> = seq("lane count", ())),
+        /// An `ApFinishMany` ran; per-lane stream results, in lane order.
+        OP_AP_MATCHES_MANY => ApFinishedMany(runs: Vec<crate::ApMatches> = seq("lane count", ())),
+        /// The request failed; `code` is machine-readable, `message` is for
+        /// the operator's log.
+        OP_ERROR => Error {
+            /// The typed failure code.
+            code: ErrorCode,
+            /// Human-readable detail.
+            message: String = "error message",
+        },
     }
 }
 
@@ -1605,6 +1439,15 @@ mod tests {
             Request::decode(&body),
             Err(FrameError::BadPayload("stream count out of range"))
         );
+        // An ApFinishedMany claiming one lane in fewer bytes than the
+        // smallest ApMatches (1 + 8 + 24 + 4) can occupy.
+        let mut body = vec![OP_AP_MATCHES_MANY];
+        body.extend_from_slice(&1u32.to_be_bytes());
+        body.extend_from_slice(&[0; 33]);
+        assert_eq!(
+            Response::decode(&body),
+            Err(FrameError::BadPayload("element count exceeds frame"))
+        );
         // A bit vector claiming 2^31 bits in a tiny frame.
         let mut body = vec![OP_SUBMIT];
         body.extend_from_slice(&1u32.to_be_bytes()); // one program
@@ -1681,6 +1524,271 @@ mod tests {
             assert_eq!(ErrorCode::from_u16(code.as_u16()), code);
         }
         assert_eq!(ErrorCode::from_u16(0xBEEF), ErrorCode::Internal);
+    }
+
+    /// One fixed instance of every request verb, in opcode order.
+    fn sample_requests() -> Vec<Request> {
+        vec![
+            Request::Hello { tenant: 7, token: "tok".into() },
+            Request::Submit {
+                programs: vec![
+                    vec![
+                        Instruction::Store { row: 1, data: BitVec::from_indices(65, &[0, 64]) },
+                        Instruction::Or { srcs: vec![0, 1], dst: 2 },
+                        Instruction::And { srcs: vec![2], dst: 3 },
+                        Instruction::Xor { a: 3, b: 0, dst: 4 },
+                        Instruction::Read { row: 4 },
+                    ],
+                    vec![],
+                ],
+            },
+            Request::ApOpen { patterns: vec!["ab+".into(), "c".into()] },
+            Request::ApFeed { session: 9, chunk: b"xy".to_vec() },
+            Request::ApFinish { session: 9 },
+            Request::ApClose { session: 10 },
+            Request::Usage,
+            Request::Stats,
+            Request::CorrOpen { streams: 24, threshold: 1556 },
+            Request::CorrFeed {
+                session: 4,
+                window: vec![BitVec::from_indices(3, &[0, 2]), BitVec::new(3)],
+            },
+            Request::CorrFinish { session: 4 },
+            Request::ApFeedMany { session: 5, chunks: vec![b"a".to_vec(), Vec::new()] },
+            Request::ApFinishMany { session: 5 },
+        ]
+    }
+
+    fn sample_report(cycles: u64) -> ApReport {
+        ApReport { cycles, latency: Seconds::new(0.5), energy: Joules::new(-2.0) }
+    }
+
+    fn sample_matches() -> crate::ApMatches {
+        crate::ApMatches {
+            accepted: true,
+            matches: vec![(5, 0), (9, 1)],
+            symbols: 15,
+            report: sample_report(15),
+        }
+    }
+
+    /// One fixed instance of every response verb, in opcode order, then
+    /// `Error`.
+    fn sample_responses() -> Vec<Response> {
+        vec![
+            Response::HelloOk,
+            Response::Mvp(WireMvpResult {
+                outputs: vec![vec![BitVec::from_indices(65, &[64]), BitVec::new(0)], vec![]],
+                jobs: 2,
+                programs: 3,
+                energy: Joules::new(1.5),
+                busy: Seconds::new(0.25),
+            }),
+            Response::ApOpened { session: 3, routing_fallback: true, cache_hit: false },
+            Response::ApFed(sample_report(11)),
+            Response::ApFinished(sample_matches()),
+            Response::ApClosed,
+            Response::Usage(WireUsage {
+                mvp_jobs: 1,
+                mvp_reads: 2,
+                mvp_scouting_ops: 3,
+                mvp_programs: 4,
+                mvp_corrected_errors: 5,
+                mvp_energy: Joules::new(6.0),
+                mvp_busy: Seconds::new(7.0),
+                ap_jobs: 8,
+                ap_symbols: 9,
+                ap_energy: Joules::new(10.0),
+                ap_busy: Seconds::new(11.0),
+                corr_jobs: 12,
+                corr_events: 13,
+                quota_remaining: Some(14),
+                rate: Some(WireRate { tokens: 2.5, burst: 8 }),
+            }),
+            Response::Stats(WireStats {
+                workers: 1,
+                live_engines: 2,
+                retired_engines: 3,
+                queue_depth: 4,
+                queue_capacity: 5,
+                sessions: 6,
+                shards: 7,
+                replicas: 8,
+                unavailable_shards: 9,
+                routing_fallbacks: 10,
+                ap_cache_hits: 11,
+                ap_cache_misses: 12,
+                mvp_cache_hits: 13,
+                mvp_cache_misses: 14,
+                tenants: vec![TenantStat {
+                    tenant: 7,
+                    jobs: 12,
+                    energy: Joules::new(1.0),
+                    busy: Seconds::new(2.0),
+                }],
+            }),
+            Response::CorrOpened { session: 11 },
+            Response::CorrFed(crate::CorrFeedReport {
+                events: 3072,
+                energy: Joules::new(8.5),
+                busy: Seconds::new(3.25),
+            }),
+            Response::CorrReport(crate::CorrOutcome {
+                correlated: BitVec::from_indices(3, &[1]),
+                scores: vec![700, 1654, 699],
+                events: 18432,
+                threshold: 1556,
+            }),
+            Response::ApFedMany(vec![sample_report(1), sample_report(0)]),
+            Response::ApFinishedMany(vec![sample_matches()]),
+            Response::Error { code: ErrorCode::RateLimited, message: "slow".into() },
+        ]
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of [`sample_requests`], one frame body each.
+    const GOLDEN_REQUESTS: [&str; 13] = [
+        "01000000000000000700000003746f6b",
+        concat!(
+            "02000000020000000500000000010000004100000000000000010000000000000001010000000200",
+            "00000000000001000000020200000001000000020000000303000000030000000000000004040000",
+            "000400000000",
+        ),
+        "03000000020000000361622b0000000163",
+        "040000000000000009000000027879",
+        "050000000000000009",
+        "06000000000000000a",
+        "07",
+        "08",
+        "09000000180000000000000614",
+        "0a000000000000000400000002000000030000000000000005000000030000000000000000",
+        "0b0000000000000004",
+        "0c000000000000000500000002000000016100000000",
+        "0d0000000000000005",
+    ];
+
+    /// The exact bytes of [`sample_responses`], one frame body each.
+    const GOLDEN_RESPONSES: [&str; 14] = [
+        "81",
+        concat!(
+            "82000000000000000200000000000000033ff80000000000003fd000000000000000000002000000",
+            "0200000041000000000000000000000000000000010000000000000000",
+        ),
+        "8300000000000000030100",
+        "84000000000000000b3fe0000000000000c000000000000000",
+        concat!(
+            "8501000000000000000f000000000000000f3fe0000000000000c000000000000000000000020000",
+            "000000000005000000000000000000000000000000090000000000000001",
+        ),
+        "86",
+        concat!(
+            "87000000000000000100000000000000020000000000000003000000000000000400000000000000",
+            "054018000000000000401c0000000000000000000000000008000000000000000940240000000000",
+            "004026000000000000000000000000000c000000000000000d000000000000000e01400400000000",
+            "000000000008",
+        ),
+        concat!(
+            "88000000000000000100000000000000020000000000000003000000000000000400000000000000",
+            "05000000000000000600000000000000070000000000000008000000000000000900000000000000",
+            "0a000000000000000b000000000000000c000000000000000d000000000000000e00000001000000",
+            "0000000007000000000000000c3ff00000000000004000000000000000",
+        ),
+        "89000000000000000b",
+        "8a0000000000000c004021000000000000400a000000000000",
+        concat!(
+            "8b0000000300000000000000020000000300000000000002bc000000000000067600000000000002",
+            "bb00000000000048000000000000000614",
+        ),
+        concat!(
+            "8c0000000200000000000000013fe0000000000000c00000000000000000000000000000003fe000",
+            "0000000000c000000000000000",
+        ),
+        concat!(
+            "8d0000000101000000000000000f000000000000000f3fe0000000000000c0000000000000000000",
+            "00020000000000000005000000000000000000000000000000090000000000000001",
+        ),
+        "ee001500000004736c6f77",
+    ];
+
+    /// Round-trip tests cannot see a layout change made the same way on
+    /// both sides; these pinned bytes can.
+    #[test]
+    fn golden_frames_are_pinned() {
+        for (request, golden) in sample_requests().iter().zip(GOLDEN_REQUESTS) {
+            let body = request.encode().expect("encodes");
+            assert_eq!(hex(&body), golden, "{request:?}");
+            assert_eq!(&Request::decode(&body).expect("decodes"), request);
+        }
+        for (response, golden) in sample_responses().iter().zip(GOLDEN_RESPONSES) {
+            let body = response.encode().expect("encodes");
+            assert_eq!(hex(&body), golden, "{response:?}");
+            assert_eq!(&Response::decode(&body).expect("decodes"), response);
+        }
+    }
+
+    /// A small seeded xorshift, enough to drive the mutation corpus
+    /// without a dependency.
+    struct Xorshift(u64);
+
+    impl Xorshift {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0 % n as u64) as usize
+        }
+    }
+
+    /// Truncates, flips a bit in, or replaces a byte of `body`.
+    fn mutate(rng: &mut Xorshift, body: &mut Vec<u8>) {
+        let at = rng.below(body.len());
+        match rng.below(3) {
+            0 => body.truncate(at.max(1)),
+            1 => body[at] ^= 1 << rng.below(8),
+            _ => body[at] = rng.below(256) as u8,
+        }
+    }
+
+    /// Decoding is canonical: any body that decodes re-encodes to exactly
+    /// the same bytes. The one exception is an `Error` frame whose code is
+    /// unknown, which collapses to `Internal` by design.
+    #[test]
+    fn decoded_mutants_re_encode_byte_for_byte() {
+        const MUTATIONS: usize = 100_000;
+        let mut rng = Xorshift(0x5EED_C0DE_CAFE_F00D);
+        let requests: Vec<Vec<u8>> =
+            sample_requests().iter().map(|r| r.encode().expect("encodes")).collect();
+        let mut decoded = 0;
+        for round in 0..MUTATIONS {
+            let mut body = requests[round % requests.len()].clone();
+            mutate(&mut rng, &mut body);
+            if let Ok(request) = Request::decode(&body) {
+                decoded += 1;
+                assert_eq!(request.encode().expect("re-encodes"), body, "{request:?}");
+            }
+        }
+        assert!(decoded > MUTATIONS / 10, "only {decoded} request mutants decoded");
+
+        let responses: Vec<Vec<u8>> =
+            sample_responses().iter().map(|r| r.encode().expect("encodes")).collect();
+        let mut decoded = 0;
+        for round in 0..MUTATIONS {
+            let mut body = responses[round % responses.len()].clone();
+            mutate(&mut rng, &mut body);
+            match Response::decode(&body) {
+                Ok(Response::Error { code: ErrorCode::Internal, .. })
+                    if body[1..3] != ErrorCode::Internal.as_u16().to_be_bytes() => {}
+                Ok(response) => {
+                    decoded += 1;
+                    assert_eq!(response.encode().expect("re-encodes"), body, "{response:?}");
+                }
+                Err(_) => {}
+            }
+        }
+        assert!(decoded > MUTATIONS / 10, "only {decoded} response mutants decoded");
     }
 
     #[test]

@@ -74,6 +74,7 @@ fn mutated_valid_frames_never_kill_the_server() {
     let mut client = NetClient::connect(server.local_addr()).expect("connects");
     client.hello(1, TOKEN).expect("auth");
     let corpus: Vec<Vec<u8>> = vec![
+        Request::Hello { tenant: 1, token: TOKEN.into() }.encode().expect("encodes"),
         Request::Submit {
             programs: vec![vec![
                 memcim_mvp::Instruction::Store {
@@ -102,6 +103,10 @@ fn mutated_valid_frames_never_kill_the_server() {
         .encode()
         .expect("encodes"),
         Request::CorrFinish { session: 0 }.encode().expect("encodes"),
+        Request::ApFeedMany { session: 0, chunks: vec![b"abc".to_vec(), Vec::new()] }
+            .encode()
+            .expect("encodes"),
+        Request::ApFinishMany { session: 0 }.encode().expect("encodes"),
         Request::Usage.encode().expect("encodes"),
         Request::Stats.encode().expect("encodes"),
     ];
