@@ -6,7 +6,16 @@
 //! `Arc` by every stream over the automaton. A [`Lane`] is one stream's
 //! private state, and [`Lane::feed`] is the single per-symbol kernel that
 //! both [`AutomataProcessor`] and [`MultiStreamProcessor`] run.
+//!
+//! The kernel computes each symbol's step uncached ([`Lane::step`]) or
+//! replays it from the processor's transition memo ([`Memo`]), which
+//! caches, per (active set, symbol class), the next active set, the
+//! routing popcount and the accept states of earlier uncached steps.
+//! Under all-input scanning few active sets recur, so most symbols are
+//! replays; the memo's budget, flush and thrash guard are described in
+//! `memo.rs`.
 
+use crate::memo::Memo;
 use crate::routing::FollowScratch;
 use crate::{ApBackend, ApCosts, ApError, MultiStreamProcessor, Routing, RoutingKind};
 use memcim_automata::{ApMatrices, HomogeneousAutomaton};
@@ -67,6 +76,12 @@ pub(crate) struct Template {
     /// `b` — the per-symbol STE energy is a table lookup instead of a
     /// popcount over the row.
     ste_ones: Vec<u32>,
+    /// `classes[b]` = the symbol class of byte `b`: bytes with equal STE
+    /// rows share a class, and a step's result depends on the symbol
+    /// only through its class. Classes are numbered in order of first
+    /// occurrence.
+    pub(crate) classes: [u8; 256],
+    class_count: usize,
     /// Whether an all-zero active vector can come back to life after
     /// position 0 (i.e. the automaton has `all_input` states). When
     /// false, a dead stream is charged STE discharge per symbol but
@@ -92,8 +107,39 @@ impl Template {
         let routing = Routing::compile(&matrices.r, routing)?;
         let costs = backend.costs(n, routing.resources().config_bits);
         let ste_ones = (0..256).map(|b| matrices.v.row(b).count_ones() as u32).collect();
+        let mut classes = [0u8; 256];
+        let mut firsts: Vec<usize> = Vec::new();
+        for (b, class) in classes.iter_mut().enumerate() {
+            let row = matrices.v.row(b);
+            *class = match firsts.iter().position(|&f| matrices.v.row(f) == row) {
+                Some(c) => c as u8,
+                None => {
+                    firsts.push(b);
+                    (firsts.len() - 1) as u8
+                }
+            };
+        }
         let revivable = matrices.all_input.any();
-        Ok(Arc::new(Self { matrices, routing, backend, costs, ste_ones, revivable }))
+        Ok(Arc::new(Self {
+            matrices,
+            routing,
+            backend,
+            costs,
+            ste_ones,
+            classes,
+            class_count: firsts.len(),
+            revivable,
+        }))
+    }
+
+    /// Words in one active vector.
+    pub(crate) fn set_words(&self) -> usize {
+        self.matrices.accept.as_words().len()
+    }
+
+    /// Number of symbol classes.
+    pub(crate) fn class_count(&self) -> usize {
+        self.class_count
     }
 
     /// A fresh stream over this automaton.
@@ -139,23 +185,37 @@ impl Lane {
 
     /// The per-symbol kernel: streams one chunk through the pipeline of
     /// the paper's Fig. 6, continuing from the lane's position.
-    pub(crate) fn feed(&mut self, t: &Template, scratch: &mut FollowScratch, chunk: &[u8]) {
+    ///
+    /// Each symbol either replays a step `memo` holds for the active set
+    /// and the symbol's class, or runs [`step`](Self::step) and hands
+    /// its result to the memo. Both charge the STE term, then the
+    /// routing term only for a non-empty active set, so the energy sum
+    /// is bit-identical whichever path a symbol takes.
+    pub(crate) fn feed(
+        &mut self,
+        t: &Template,
+        scratch: &mut FollowScratch,
+        memo: &mut Memo,
+        chunk: &[u8],
+    ) {
         let ste_energy = t.costs.ste_energy_per_column.as_joules();
         let routing_energy = t.costs.routing_energy_per_column.as_joules();
         // Hot scalars live in locals for the duration of the chunk —
         // accumulating through `self` would force a reload/store per
         // symbol around every `&mut self`-field call.
         let ste_ones = &t.ste_ones;
-        let v = &t.matrices.v;
-        let ai_words = t.matrices.all_input.as_words();
-        let acc_words = t.matrices.accept.as_words();
         let revivable = t.revivable;
         let mut energy = self.energy;
         let mut pos = self.pos;
         let mut last_accepting = self.last_accepting;
         // Tracked across cycles so the steady state never re-scans the
-        // active vector: the fused pass below recomputes it for free.
+        // active vector: the kernel and the memo both know it for free.
         let mut active_any = self.active.any();
+        // The memo id of the active set while the memo holds it. A hit
+        // only moves the id, so `self.active` is stale until a miss or
+        // the end of the chunk loads the set back.
+        let consult = !chunk.is_empty() && memo.ready(t);
+        let mut cur = if consult && pos > 0 { memo.find(&self.active) } else { None };
         for (i, &byte) in chunk.iter().enumerate() {
             // Dead stream: past position 0 with no active states and no
             // `all_input` revival, the active vector stays empty for the
@@ -178,48 +238,108 @@ impl Lane {
             // per symbol at compile time.
             energy += ste_ones[byte as usize] as f64 * ste_energy;
 
-            // Step 2 — active state processing (Equations 2 and 3), into
-            // the reused follow buffer. An empty active vector routes to
-            // an empty follow vector with zero discharge, so the fabric
-            // walk is skipped outright.
-            if active_any {
-                t.routing.follow_into(&self.active, &mut self.follow, scratch);
-                energy += self.follow.count_ones() as f64 * routing_energy;
-            } else {
-                self.follow.clear();
-            }
-            if pos == 0 {
-                self.follow.or_assign(&t.matrices.start_of_input);
+            // Steps 2–3 replayed: the routing term and the events an
+            // earlier uncached step from this set on this class produced.
+            if let Some(id) = cur {
+                if let Some(next) = memo.hit(id, t.classes[byte as usize]) {
+                    if active_any {
+                        energy += memo.follow_ones(id) as f64 * routing_energy;
+                    }
+                    let accepts = memo.accepts(next);
+                    for &state in accepts {
+                        self.accept_events.push((pos as usize, state as usize));
+                    }
+                    last_accepting = !accepts.is_empty();
+                    active_any = memo.any(next);
+                    cur = Some(next);
+                    pos += 1;
+                    continue;
+                }
+                memo.load(id, &mut self.active);
             }
 
-            // Steps 2b and 3, fused into a single word pass:
-            // `f = (f | all_input) & s` (Equation 3), its emptiness for
-            // the next cycle's skip decisions, and output identification
-            // (Equation 4) — a word-AND with the accept mask, iterating
-            // ones only in live words.
-            last_accepting = false;
-            let s_words = v.row(byte as usize).as_words();
-            let mut any = 0u64;
-            let f_words = self.follow.as_words_mut();
-            for wi in 0..f_words.len() {
-                let w = (f_words[wi] | ai_words[wi]) & s_words[wi];
-                f_words[wi] = w;
-                any |= w;
-                let mut live = w & acc_words[wi];
-                while live != 0 {
-                    let state = wi * 64 + live.trailing_zeros() as usize;
-                    self.accept_events.push((pos as usize, state));
-                    last_accepting = true;
-                    live &= live - 1;
-                }
+            // Steps 2–3 uncached: position 0, a miss, or no memo.
+            let events = self.accept_events.len();
+            let (follow_ones, any) = self.step(t, scratch, byte, pos, active_any);
+            if active_any {
+                energy += follow_ones as f64 * routing_energy;
             }
-            std::mem::swap(&mut self.active, &mut self.follow);
-            active_any = any != 0;
+            last_accepting = self.accept_events.len() > events;
+            active_any = any;
+            if consult {
+                cur = memo.store(
+                    cur,
+                    t.classes[byte as usize],
+                    follow_ones,
+                    &self.active,
+                    active_any,
+                    &self.accept_events[events..],
+                );
+            }
             pos += 1;
+        }
+        if let Some(id) = cur {
+            memo.load(id, &mut self.active);
         }
         self.energy = energy;
         self.pos = pos;
         self.last_accepting = last_accepting;
+    }
+
+    /// One uncached symbol cycle from `self.active`: Equations (2)–(4)
+    /// for the symbol `byte` at stream position `pos`. Routes the active
+    /// vector into the follow buffer, applies `(f | all_input) & s`,
+    /// reports the accept states reached and swaps the buffers. Returns
+    /// `|a·R|`, the popcount the routing energy charges (0, with the
+    /// fabric walk skipped, for an empty active vector), and whether the
+    /// new active vector is non-empty.
+    #[inline(always)]
+    fn step(
+        &mut self,
+        t: &Template,
+        scratch: &mut FollowScratch,
+        byte: u8,
+        pos: u64,
+        active_any: bool,
+    ) -> (u32, bool) {
+        // Step 2 — active state processing (Equations 2 and 3), into
+        // the reused follow buffer. An empty active vector routes to
+        // an empty follow vector with zero discharge, so the fabric
+        // walk is skipped outright.
+        let follow_ones = if active_any {
+            t.routing.follow_into(&self.active, &mut self.follow, scratch);
+            self.follow.count_ones() as u32
+        } else {
+            self.follow.clear();
+            0
+        };
+        if pos == 0 {
+            self.follow.or_assign(&t.matrices.start_of_input);
+        }
+
+        // Steps 2b and 3, fused into a single word pass:
+        // `f = (f | all_input) & s` (Equation 3), its emptiness for the
+        // next cycle's skip decisions, and output identification
+        // (Equation 4) — a word-AND with the accept mask, iterating ones
+        // only in live words.
+        let ai_words = t.matrices.all_input.as_words();
+        let acc_words = t.matrices.accept.as_words();
+        let s_words = t.matrices.v.row(byte as usize).as_words();
+        let mut any = 0u64;
+        let f_words = self.follow.as_words_mut();
+        for wi in 0..f_words.len() {
+            let w = (f_words[wi] | ai_words[wi]) & s_words[wi];
+            f_words[wi] = w;
+            any |= w;
+            let mut live = w & acc_words[wi];
+            while live != 0 {
+                let state = wi * 64 + live.trailing_zeros() as usize;
+                self.accept_events.push((pos as usize, state));
+                live &= live - 1;
+            }
+        }
+        std::mem::swap(&mut self.active, &mut self.follow);
+        (follow_ones, any != 0)
     }
 
     /// The cumulative cost report for the stream so far.
@@ -251,8 +371,17 @@ impl Lane {
 /// the backend's calibrated cost model.
 ///
 /// The symbol loop is allocation-free in steady state: the processor
-/// owns double-buffered active/follow vectors and the routing scratch,
-/// all reused across symbols and across [`run`](Self::run) calls.
+/// owns double-buffered active/follow vectors, the routing scratch and a
+/// transition memo, all reused across symbols and across
+/// [`run`](Self::run) calls. The memo caches the result of each
+/// (active set, symbol class) step the kernel has computed, so a warm
+/// processor replays most symbols instead of routing them. Its storage
+/// is allocated once, on the first feed, under a fixed budget of
+/// 16 KiB; when full it is flushed and refilled, and it is no longer
+/// consulted once flushes come faster than its entries are reused. The
+/// memo changes host time only: events and reports are bit-identical
+/// to the uncached kernel's.
+///
 /// Long-lived connections can stream incrementally through
 /// [`reset`](Self::reset) / [`feed`](Self::feed) /
 /// [`finish`](Self::finish) — feeding an input in chunks is equivalent
@@ -264,6 +393,7 @@ pub struct AutomataProcessor {
     template: Arc<Template>,
     lane: Lane,
     scratch: FollowScratch,
+    memo: Memo,
 }
 
 /// A processor compiled by [`AutomataProcessor::compile_or_dense`].
@@ -293,7 +423,12 @@ impl AutomataProcessor {
         routing: RoutingKind,
     ) -> Result<Self, ApError> {
         let template = Template::compile(automaton, backend, routing)?;
-        Ok(Self { lane: template.lane(), scratch: template.routing.scratch(), template })
+        Ok(Self {
+            lane: template.lane(),
+            scratch: template.routing.scratch(),
+            memo: Memo::new(),
+            template,
+        })
     }
 
     /// Maps an automaton onto the Cache Automaton's hierarchical fabric
@@ -416,7 +551,7 @@ impl AutomataProcessor {
     /// # }
     /// ```
     pub fn feed(&mut self, chunk: &[u8]) -> ApReport {
-        self.lane.feed(&self.template, &mut self.scratch, chunk);
+        self.lane.feed(&self.template, &mut self.scratch, &mut self.memo, chunk);
         self.lane.report(&self.template.costs)
     }
 
@@ -425,6 +560,14 @@ impl AutomataProcessor {
     /// stream.
     pub fn finish(&mut self) -> ApRun {
         self.lane.finish(&self.template)
+    }
+}
+
+#[cfg(test)]
+impl Template {
+    /// The programmed matrices.
+    pub(crate) fn matrices(&self) -> &ApMatrices {
+        &self.matrices
     }
 }
 

@@ -27,6 +27,15 @@
 //! dense `N×N` and the Cache-Automaton-style two-level hierarchy
 //! ([`RoutingKind::Hierarchical`]) with bounded global wiring.
 //!
+//! On the host, each processor keeps a transition memo next to its
+//! routing scratch, in the manner of a lazy DFA: the result of every
+//! (active set, symbol class) step is cached under a fixed 16 KiB
+//! budget, so recurring active sets are replayed instead of routed.
+//! The memo is flushed when full and bypassed for automata whose active
+//! sets do not recur. It changes host time only; the modeled hardware
+//! still runs all three steps per symbol, and every report and cost is
+//! bit-identical to the uncached kernel.
+//!
 //! # Examples
 //!
 //! ```
@@ -47,6 +56,7 @@
 mod backend;
 mod engine;
 mod error;
+mod memo;
 mod multi;
 mod routing;
 

@@ -6,22 +6,25 @@
 //! paid once. The [`MultiStreamProcessor`] models that. Its lanes share
 //! one configuration and one compiled template — matrices, routing
 //! fabric and cost model behind a single `Arc`, plus one follow scratch
-//! — and each lane holds only its stream state.
+//! and one transition memo — and each lane holds only its stream state.
 //!
 //! Every lane runs the same per-symbol kernel as
 //! [`AutomataProcessor`], so per lane the result is **bit-for-bit
 //! identical** to [`AutomataProcessor::feed`] — property-tested in this
-//! module. The batch interface does no per-symbol amortization:
-//! [`feed_many`] feeds the lanes one after another. On the benchmark's
-//! `ap_scan` workload, 8 lanes through `feed_many` measured 64 ns per
-//! symbol against 67 ns for the same slices fed lane after lane through
-//! one single-stream engine (`perfbench/README.md`).
+//! module. [`feed_many`] feeds the lanes one after another; what they
+//! share per symbol is the transition memo. A step one lane computed —
+//! next active set, routing popcount, accept states for an (active set,
+//! symbol class) pair — is replayed for every lane that reaches the
+//! same pair, so lanes scanning similar traffic warm the memo for each
+//! other. The memo starts empty with each processor (a served session
+//! stamps a fresh one) and is allocated on the first feed.
 //!
 //! [`AutomataProcessor`]: crate::AutomataProcessor
 //! [`AutomataProcessor::feed`]: crate::AutomataProcessor::feed
 //! [`feed_many`]: MultiStreamProcessor::feed_many
 
 use crate::engine::{ApReport, ApRun, Lane, Template};
+use crate::memo::Memo;
 use crate::routing::FollowScratch;
 use crate::{ApBackend, ApError, RoutingKind};
 use memcim_automata::HomogeneousAutomaton;
@@ -63,6 +66,9 @@ pub struct MultiStreamProcessor {
     /// One scratch serves every lane: `follow_into` leaves no state
     /// behind in it, so lanes can share it without cross-talk.
     scratch: FollowScratch,
+    /// One transition memo serves every lane: it caches steps of the
+    /// shared template, not of any one stream.
+    memo: Memo,
     lanes: Vec<Lane>,
     /// Monotonic lifetime totals across all lanes — never reset by
     /// per-lane [`finish`](Self::finish), so a billing layer can take
@@ -91,6 +97,7 @@ impl MultiStreamProcessor {
     pub(crate) fn from_template(template: Arc<Template>, streams: usize) -> Self {
         Self {
             scratch: template.routing.scratch(),
+            memo: Memo::new(),
             lanes: (0..streams.max(1)).map(|_| template.lane()).collect(),
             template,
             total_cycles: 0,
@@ -128,8 +135,9 @@ impl MultiStreamProcessor {
     }
 
     /// Feeds `chunks[i]` to lane `i` — the batch interface. Lanes are
-    /// grown on demand to `chunks.len()` and fed one after another.
-    /// Returns each lane's cumulative report, in lane order.
+    /// grown on demand to `chunks.len()` and fed one after another,
+    /// sharing the processor's transition memo. Returns each lane's
+    /// cumulative report, in lane order.
     pub fn feed_many<C: AsRef<[u8]>>(&mut self, chunks: &[C]) -> Vec<ApReport> {
         self.ensure_streams(chunks.len());
         chunks.iter().enumerate().map(|(l, chunk)| self.feed_lane(l, chunk.as_ref())).collect()
@@ -140,7 +148,7 @@ impl MultiStreamProcessor {
     fn feed_lane(&mut self, l: usize, chunk: &[u8]) -> ApReport {
         let lane = &mut self.lanes[l];
         let (e0, p0) = (lane.energy, lane.pos);
-        lane.feed(&self.template, &mut self.scratch, chunk);
+        lane.feed(&self.template, &mut self.scratch, &mut self.memo, chunk);
         self.total_cycles += lane.pos - p0;
         self.total_energy += lane.energy - e0;
         lane.report(&self.template.costs)
@@ -183,6 +191,15 @@ impl MultiStreamProcessor {
     /// of this instead of chasing per-stream cumulative reports.
     pub fn billing_report(&self) -> ApReport {
         ApReport::streamed(&self.template.costs, self.total_cycles, self.total_energy)
+    }
+}
+
+#[cfg(test)]
+impl MultiStreamProcessor {
+    /// Swaps in `memo` for the production one.
+    pub(crate) fn with_memo(mut self, memo: Memo) -> Self {
+        self.memo = memo;
+        self
     }
 }
 

@@ -21,7 +21,7 @@
 //!   malformed or missing a required config — the CI guard.
 
 use memcim_ap::{ApBackend, AutomataProcessor, RoutingKind};
-use memcim_automata::{rules, PatternSet, StartKind};
+use memcim_automata::{rules, HomogeneousAutomaton, PatternSet, Regex, StartKind};
 use memcim_bench::json::{self, JsonValue};
 use memcim_bench::yields::{self, YieldConfig};
 use memcim_crossbar::{BitlineCircuit, CellTechnology};
@@ -42,6 +42,8 @@ const REQUIRED_CONFIGS: &[&str] = &[
     "engine_dense_SRAM-AP",
     "engine_hierarchical_RRAM-AP",
     "ap_multistream",
+    "ap_multistream_sequential",
+    "ap_memo_thrash",
     "software_bitparallel",
     "bitline_lumped_RRAM-AP",
     "bitline_lumped_SRAM-AP",
@@ -114,6 +116,11 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
     let scanning = homog.with_start_kind(StartKind::AllInput);
     let symbols = traffic.len() as u64;
 
+    // The `engine_*` configs reuse one processor across iterations, and
+    // the transition memo persists across `run`s, so they measure a
+    // warm memo: after the warm-up call nearly every symbol is a memo
+    // hit. A served session starts cold; `ap_multistream` below is the
+    // cold-memo number.
     for (name, backend) in
         [("engine_dense_RRAM-AP", ApBackend::rram()), ("engine_dense_SRAM-AP", ApBackend::sram())]
     {
@@ -135,33 +142,66 @@ fn run_workloads(quick: bool) -> Vec<ConfigResult> {
 
     // --- Multi-stream AP: 8 lanes through one compiled automaton -------
     // The same hierarchical automaton, but the traffic is sliced into 8
-    // independent streams fed through one MultiStreamProcessor. The
-    // lanes share one configuration and one compiled template and run
-    // the single-stream lane kernel one after another: nothing is
-    // amortized per symbol. Each lane is an eighth of the traffic, and
-    // under all-input scanning active sets grow with stream length, so
-    // this config does less work per symbol than the single-stream
-    // `engine_hierarchical_RRAM-AP` number above. Like for like
-    // (perfbench's `ap_scan`, `perfbench/README.md`), `feed_many`
-    // costs 64 ns/symbol against 67 ns lane after lane. The lanes are
-    // finished each iteration, so lane state never leaks across timed
-    // passes.
+    // independent streams. Each iteration stamps a fresh processor off
+    // the compiled template, as a served session does, so its
+    // transition memo starts cold. `ap_multistream` feeds the 8 slices
+    // through 8 lanes in one `feed_many`; `ap_multistream_sequential`
+    // feeds the same slices one stream after another through a single
+    // lane. Both share one memo across their streams, which is the
+    // only per-symbol amortization there is; the gap between the two
+    // is the batch interface and the order the memo fills in. Each
+    // slice is an eighth of the
+    // traffic, and under all-input scanning active sets grow with
+    // stream length, so neither is comparable with the single-stream
+    // `engine_*` numbers above.
     {
         let streams = 8usize;
         let lane_len = traffic.len() / streams;
         let lanes: Vec<&[u8]> =
             (0..streams).map(|i| &traffic[i * lane_len..(i + 1) * lane_len]).collect();
-        let mut msp = hier.multi_stream(streams);
         results.push(measure(
             "ap_multistream",
             "symbol",
             (lane_len * streams) as u64,
             budget,
             || {
+                let mut msp = hier.multi_stream(streams);
                 std::hint::black_box(msp.feed_many(&lanes));
                 std::hint::black_box(msp.finish_all());
             },
         ));
+        results.push(measure(
+            "ap_multistream_sequential",
+            "symbol",
+            (lane_len * streams) as u64,
+            budget,
+            || {
+                let mut one = hier.multi_stream(1);
+                for lane in &lanes {
+                    std::hint::black_box(one.feed(0, lane).expect("lane 0"));
+                    std::hint::black_box(one.finish(0).expect("lane 0"));
+                }
+            },
+        ));
+    }
+
+    // --- Memo thrash: an automaton whose active sets explode ------------
+    // `a[ab]{12}` scanning random a/b traffic reaches up to 2^12 active
+    // sets, far more than the transition memo holds, and few recur. The
+    // memo's thrash guard must notice (a flush after fewer hits than
+    // misses) and hand the stream back to the plain kernel, so this
+    // number should match the kernel without a memo.
+    {
+        let nfa = Regex::parse("a[ab]{12}").expect("parses").compile();
+        let thrash = HomogeneousAutomaton::from_nfa(&nfa).with_start_kind(StartKind::AllInput);
+        let mut ap = AutomataProcessor::compile(&thrash, ApBackend::rram(), RoutingKind::Dense)
+            .expect("dense maps");
+        let mut trng = SmallRng::seed_from_u64(SEED);
+        let ab: Vec<u8> =
+            (0..traffic_len).map(|_| if trng.gen_range(0..2) == 0 { b'a' } else { b'b' }).collect();
+        results.push(measure("ap_memo_thrash", "symbol", ab.len() as u64, budget, || {
+            std::hint::black_box(ap.run(&ab));
+        }));
     }
     let matrices = scanning.to_matrices();
     results.push(measure("software_bitparallel", "symbol", symbols, budget, || {
