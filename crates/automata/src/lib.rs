@@ -10,8 +10,9 @@
 //!   reference interpreter and per-position match reporting.
 //! * [`Regex`] — a regular-expression compiler (literals, classes,
 //!   ranges, negation, `.`,`|`,`*`,`+`,`?`, grouping, bounded repeats
-//!   `{m,n}`, escapes) producing an [`Nfa`] by Thompson construction
-//!   followed by ε-elimination.
+//!   `{m,n}`, escapes) producing an [`Nfa`] by the Glushkov position
+//!   construction: one state per class leaf, so the machine is ε-free,
+//!   trim and already homogeneous.
 //! * [`HomogeneousAutomaton`] — the AP-implementable form (paper Fig. 5b):
 //!   every state is reached only on its own symbol class. Conversion from
 //!   any [`Nfa`] is provided (the paper: *"Any NFA can be translated into

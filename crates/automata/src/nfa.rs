@@ -82,7 +82,9 @@ impl Nfa {
         self.states[from].transitions.push((class, to));
     }
 
-    /// Marks a start state (`q₀` may be a set after ε-elimination).
+    /// Marks a start state. `q₀` may be a set, e.g. in a union of
+    /// automata; [`Regex::compile`](crate::Regex::compile) yields a
+    /// single start state.
     ///
     /// # Panics
     ///
@@ -133,11 +135,7 @@ impl Nfa {
         if input.is_empty() {
             return self.accepts_empty();
         }
-        let mut active = vec![false; self.states.len()];
         let mut frontier: Vec<StateId> = self.starts.clone();
-        for &s in &frontier {
-            active[s] = true;
-        }
         for &byte in input {
             let mut next_active = vec![false; self.states.len()];
             let mut next_frontier = Vec::new();
@@ -149,27 +147,22 @@ impl Nfa {
                     }
                 }
             }
-            active = next_active;
             frontier = next_frontier;
             if frontier.is_empty() {
                 return false;
             }
         }
-        frontier.iter().any(|&s| active[s] && self.states[s].accept)
+        frontier.iter().any(|&s| self.states[s].accept)
     }
 
     /// Unanchored scan: start states are re-seeded at every position, and
     /// every accept-state activation is reported (AP-style match events).
+    ///
+    /// Events come in ascending `end` order; events sharing one `end` come
+    /// in no specified order.
     pub fn scan(&self, input: &[u8]) -> Vec<MatchEvent> {
         let mut events = Vec::new();
-        let mut active = vec![false; self.states.len()];
-        let mut frontier: Vec<StateId> = Vec::new();
-        for &s in &self.starts {
-            if !active[s] {
-                active[s] = true;
-                frontier.push(s);
-            }
-        }
+        let mut frontier: Vec<StateId> = self.starts.clone();
         for (pos, &byte) in input.iter().enumerate() {
             let mut next_active = vec![false; self.states.len()];
             let mut next_frontier = Vec::new();
@@ -193,10 +186,8 @@ impl Nfa {
                     events.push(MatchEvent { end: pos, state: q });
                 }
             }
-            active = next_active;
             frontier = next_frontier;
         }
-        let _ = active;
         events
     }
 

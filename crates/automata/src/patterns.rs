@@ -259,15 +259,14 @@ mod tests {
 
     #[test]
     fn disabling_rules_makes_their_states_strippable() {
-        // The compiler emits trim machines, so the full corpus strips to
-        // itself; disabling a rule subset leaves dead tails that strip
-        // removes while staying run-equivalent on the subset machine.
+        // The compiler emits trim machines (see `compiled_sets_are_trim`);
+        // disabling a rule subset leaves dead tails that strip removes
+        // while staying run-equivalent on the subset machine.
         let mut rng = SmallRng::seed_from_u64(2018);
         let texts = rules::synthetic_rules(&mut rng, 16);
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         let set = PatternSet::compile(&refs).expect("compiles");
         let (h, owner) = set.to_homogeneous();
-        assert_eq!(h.clone().strip().0.state_count(), h.state_count(), "full corpus is trim");
         let subset = h.retain_accepts(|s| owner.get(&s).is_none_or(|&pattern| pattern % 2 == 0));
         let (stripped, _remap) = subset.clone().strip();
         assert!(
@@ -323,6 +322,69 @@ mod tests {
             for _ in 0..20 {
                 let s = re.sample(&mut rng);
                 assert!(nfa.accepts(&s), "{text} should accept {s:?}");
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::StartKind;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::SeedableRng;
+
+    /// Nullable, zero-repeat and empty-class patterns.
+    const EDGE_PATTERNS: [&str; 5] = ["", "a*", "a{0}", "(|a)(b|)*", "[^\\x00-\\xff]"];
+
+    fn pattern_strategy() -> impl Strategy<Value = String> {
+        let leaf = prop_oneof![
+            Just("a".to_string()),
+            Just("b".to_string()),
+            Just(".".to_string()),
+            Just(String::new()),
+            Just("[^\\x00-\\xff]".to_string()),
+        ];
+        leaf.prop_recursive(3, 16, 2, |inner| {
+            prop_oneof![
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("{a}{b}")),
+                (inner.clone(), inner.clone()).prop_map(|(a, b)| format!("({a}|{b})")),
+                inner.clone().prop_map(|a| format!("({a})*")),
+                inner.clone().prop_map(|a| format!("({a})+")),
+                inner.clone().prop_map(|a| format!("({a})?")),
+                inner.prop_map(|a| format!("({a}){{0,2}}")),
+            ]
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        /// A compiled set's homogeneous automaton is trim under either
+        /// start kind: `strip` returns it unchanged with the identity
+        /// remap, so callers need not strip a freshly compiled set.
+        #[test]
+        fn compiled_sets_are_trim(
+            random in proptest::collection::vec(pattern_strategy(), 0..5),
+            edges in proptest::collection::vec(0..EDGE_PATTERNS.len(), 0..4),
+            seed in any::<u64>(),
+            rule_count in 0usize..4,
+        ) {
+            let mut texts = random;
+            texts.extend(edges.iter().map(|&i| EDGE_PATTERNS[i].to_string()));
+            let mut rng = SmallRng::seed_from_u64(seed);
+            texts.extend(rules::synthetic_rules(&mut rng, rule_count));
+            if texts.is_empty() {
+                texts.push(String::new());
+            }
+            let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+            let set = PatternSet::compile(&refs).expect("generated patterns compile");
+            let (h, _) = set.to_homogeneous();
+            for kind in [StartKind::StartOfInput, StartKind::AllInput] {
+                let h = h.clone().with_start_kind(kind);
+                let (stripped, remap) = h.strip();
+                prop_assert_eq!(&stripped, &h, "{:?} under {:?}", texts, kind);
+                prop_assert!(remap.iter().enumerate().all(|(i, &r)| r == Some(i)));
             }
         }
     }

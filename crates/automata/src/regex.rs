@@ -1,6 +1,10 @@
-//! Regular-expression parsing and Thompson compilation to an ε-free NFA.
+//! Regular-expression parsing and compilation to the Glushkov position
+//! automaton: an ε-free NFA whose states are the pattern's class leaves,
+//! so every state is entered on one symbol class — the homogeneous shape
+//! an automata processor runs (paper Section IV.A, Fig. 5b).
 
 use crate::{AutomataError, Nfa, SymbolClass};
+use memcim_bits::BitVec;
 
 /// Maximum expansion of a bounded repetition `{m,n}`.
 const MAX_REPEAT: u32 = 256;
@@ -39,6 +43,18 @@ enum Ast {
     Star(Box<Ast>),
 }
 
+impl Ast {
+    /// Number of class leaves (Glushkov positions).
+    fn leaves(&self) -> usize {
+        match self {
+            Ast::Empty => 0,
+            Ast::Class(_) => 1,
+            Ast::Concat(parts) | Ast::Alt(parts) => parts.iter().map(Ast::leaves).sum(),
+            Ast::Star(inner) => inner.leaves(),
+        }
+    }
+}
+
 impl Regex {
     /// Parses a pattern.
     ///
@@ -61,12 +77,16 @@ impl Regex {
         &self.pattern
     }
 
-    /// Compiles to an ε-free NFA (Thompson construction, then ε-closure
-    /// elimination and unreachable-state pruning).
+    /// Compiles to the Glushkov position automaton, an ε-free NFA.
+    ///
+    /// State 0 is the start and accepts iff the pattern matches ε; state
+    /// `i + 1` is the `i`-th class leaf of the pattern, counted left to
+    /// right, entered only on that leaf's class, and accepting iff a
+    /// match can end on it. Every state is reachable from the start and
+    /// reaches an accepting state over the edge relation, so the machine
+    /// is trim (even behind an empty class such as `[^\x00-\xff]`).
     pub fn compile(&self) -> Nfa {
-        let mut g = Thompson::default();
-        let frag = g.compile(&self.ast);
-        g.into_nfa(frag)
+        Glushkov::compile(&self.ast)
     }
 
     /// Samples a random string matched by this pattern (used by workload
@@ -356,146 +376,102 @@ fn expand_repeat(node: Ast, min: u32, max: Option<u32>) -> Ast {
 }
 
 // ---------------------------------------------------------------------------
-// Thompson construction and ε-elimination
+// Glushkov position automaton
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct TState {
-    eps: Vec<usize>,
-    trans: Vec<(SymbolClass, usize)>,
+/// What a subexpression contributes to the position automaton: whether
+/// it matches ε, and the positions its matches can begin and end on.
+struct Span {
+    nullable: bool,
+    first: BitVec,
+    last: BitVec,
 }
 
-#[derive(Clone, Copy)]
-struct Frag {
-    start: usize,
-    accept: usize,
+impl Span {
+    fn new(positions: usize, nullable: bool) -> Self {
+        Self { nullable, first: BitVec::new(positions), last: BitVec::new(positions) }
+    }
 }
 
-#[derive(Default)]
-struct Thompson {
-    states: Vec<TState>,
+/// The positions (class leaves, numbered left to right) of an [`Ast`]
+/// and the `follow` relation between them.
+struct Glushkov {
+    classes: Vec<SymbolClass>,
+    follow: Vec<BitVec>,
 }
 
-impl Thompson {
-    fn fresh(&mut self) -> usize {
-        self.states.push(TState::default());
-        self.states.len() - 1
+impl Glushkov {
+    fn compile(ast: &Ast) -> Nfa {
+        let n = ast.leaves();
+        let mut g = Self { classes: Vec::with_capacity(n), follow: vec![BitVec::new(n); n] };
+        let root = g.span(ast);
+        let mut nfa = Nfa::new();
+        let start = nfa.add_state();
+        nfa.add_start(start);
+        nfa.set_accept(start, root.nullable);
+        for i in 0..n {
+            let state = nfa.add_state();
+            nfa.set_accept(state, root.last.get(i));
+        }
+        let edges = std::iter::once((start, &root.first))
+            .chain(g.follow.iter().enumerate().map(|(i, follow)| (i + 1, follow)));
+        for (from, targets) in edges {
+            for j in targets.ones() {
+                nfa.add_transition(from, g.classes[j], j + 1);
+            }
+        }
+        nfa
     }
 
-    fn compile(&mut self, ast: &Ast) -> Frag {
+    fn span(&mut self, ast: &Ast) -> Span {
+        let n = self.follow.len();
         match ast {
-            Ast::Empty => {
-                let s = self.fresh();
-                let f = self.fresh();
-                self.states[s].eps.push(f);
-                Frag { start: s, accept: f }
-            }
+            Ast::Empty => Span::new(n, true),
             Ast::Class(c) => {
-                let s = self.fresh();
-                let f = self.fresh();
-                self.states[s].trans.push((*c, f));
-                Frag { start: s, accept: f }
+                let at = BitVec::from_indices(n, &[self.classes.len()]);
+                self.classes.push(*c);
+                Span { nullable: false, first: at.clone(), last: at }
             }
             Ast::Concat(parts) => {
-                let frags: Vec<Frag> = parts.iter().map(|p| self.compile(p)).collect();
-                for w in frags.windows(2) {
-                    let (a, b) = (w[0], w[1]);
-                    self.states[a.accept].eps.push(b.start);
+                let mut acc = Span::new(n, true);
+                for part in parts {
+                    let next = self.span(part);
+                    self.link(&acc.last, &next.first);
+                    if acc.nullable {
+                        acc.first.or_assign(&next.first);
+                    }
+                    if next.nullable {
+                        acc.last.or_assign(&next.last);
+                    } else {
+                        acc.last = next.last;
+                    }
+                    acc.nullable &= next.nullable;
                 }
-                Frag {
-                    start: frags.first().expect("nonempty concat").start,
-                    accept: frags.last().expect("nonempty concat").accept,
-                }
+                acc
             }
             Ast::Alt(branches) => {
-                let s = self.fresh();
-                let f = self.fresh();
-                for b in branches {
-                    let frag = self.compile(b);
-                    self.states[s].eps.push(frag.start);
-                    self.states[frag.accept].eps.push(f);
+                let mut acc = Span::new(n, false);
+                for branch in branches {
+                    let next = self.span(branch);
+                    acc.nullable |= next.nullable;
+                    acc.first.or_assign(&next.first);
+                    acc.last.or_assign(&next.last);
                 }
-                Frag { start: s, accept: f }
+                acc
             }
             Ast::Star(inner) => {
-                let s = self.fresh();
-                let f = self.fresh();
-                let frag = self.compile(inner);
-                self.states[s].eps.push(frag.start);
-                self.states[s].eps.push(f);
-                self.states[frag.accept].eps.push(frag.start);
-                self.states[frag.accept].eps.push(f);
-                Frag { start: s, accept: f }
+                let inner = self.span(inner);
+                self.link(&inner.last, &inner.first);
+                Span { nullable: true, ..inner }
             }
         }
     }
 
-    /// ε-closure of one state.
-    fn closure(&self, state: usize) -> Vec<usize> {
-        let mut seen = vec![false; self.states.len()];
-        let mut stack = vec![state];
-        let mut out = Vec::new();
-        seen[state] = true;
-        while let Some(p) = stack.pop() {
-            out.push(p);
-            for &q in &self.states[p].eps {
-                if !seen[q] {
-                    seen[q] = true;
-                    stack.push(q);
-                }
-            }
+    /// Every position in `from` may be followed by every position in `to`.
+    fn link(&mut self, from: &BitVec, to: &BitVec) {
+        for i in from.ones() {
+            self.follow[i].or_assign(to);
         }
-        out
-    }
-
-    /// Eliminates ε-transitions and prunes unreachable states.
-    fn into_nfa(self, frag: Frag) -> Nfa {
-        let n = self.states.len();
-        // New transition sets and acceptance through closures.
-        let mut trans: Vec<Vec<(SymbolClass, usize)>> = vec![Vec::new(); n];
-        let mut accept = vec![false; n];
-        for p in 0..n {
-            for q in self.closure(p) {
-                if q == frag.accept {
-                    accept[p] = true;
-                }
-                for &(c, r) in &self.states[q].trans {
-                    trans[p].push((c, r));
-                }
-            }
-        }
-        // Reachability from the start over symbol transitions.
-        let mut reach = vec![false; n];
-        let mut stack = vec![frag.start];
-        reach[frag.start] = true;
-        while let Some(p) = stack.pop() {
-            for &(_, r) in &trans[p] {
-                if !reach[r] {
-                    reach[r] = true;
-                    stack.push(r);
-                }
-            }
-        }
-        let mut map = vec![usize::MAX; n];
-        let mut nfa = Nfa::new();
-        for (p, &live) in reach.iter().enumerate() {
-            if live {
-                map[p] = nfa.add_state();
-            }
-        }
-        for (p, &live) in reach.iter().enumerate() {
-            if !live {
-                continue;
-            }
-            nfa.set_accept(map[p], accept[p]);
-            for &(c, r) in &trans[p] {
-                if reach[r] {
-                    nfa.add_transition(map[p], c, map[r]);
-                }
-            }
-        }
-        nfa.add_start(map[frag.start]);
-        nfa
     }
 }
 
@@ -623,10 +599,29 @@ mod tests {
         let nfa = Regex::parse("(a|b)*abb").expect("parses").compile();
         // All states must be reachable and carry symbol transitions only
         // (ε-freedom is structural — Nfa has no ε representation).
-        assert!(nfa.state_count() < 30, "pruning keeps the machine small");
+        assert_eq!(nfa.state_count(), 6, "the start plus one state per class leaf");
         assert!(nfa.accepts(b"abb"));
         assert!(nfa.accepts(b"aababb"));
         assert!(!nfa.accepts(b"ab"));
+    }
+
+    #[test]
+    fn state_after_the_start_is_numbered_by_class_leaf() {
+        let nfa = Regex::parse("a(b|c)*d").expect("parses").compile();
+        let leaves = [b'a', b'b', b'c', b'd'].map(SymbolClass::of);
+        assert_eq!(nfa.state_count(), leaves.len() + 1);
+        assert_eq!(nfa.starts(), &[0]);
+        let mut entered = [false; 4];
+        for state in 0..nfa.state_count() {
+            for &(class, to) in nfa.transitions(state) {
+                assert_eq!(class, leaves[to - 1], "state {to} is entered on leaf {}", to - 1);
+                entered[to - 1] = true;
+            }
+        }
+        assert_eq!(entered, [true; 4], "every leaf is reachable");
+        let accepting: Vec<usize> = (0..5).filter(|&s| nfa.is_accept(s)).collect();
+        assert_eq!(accepting, [4], "only the last leaf, `d`, ends a match");
+        assert!(Regex::parse("a*").expect("parses").compile().is_accept(0), "nullable start");
     }
 }
 

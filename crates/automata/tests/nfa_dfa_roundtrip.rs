@@ -3,8 +3,8 @@
 //! byte inputs.
 //!
 //! The oracle interprets the generated AST directly over the input, with
-//! no shared code with the Thompson construction, ε-elimination or the
-//! subset construction it is checking. Cases are seeded and
+//! no shared code with the Glushkov position construction or the subset
+//! construction it is checking. Cases are seeded and
 //! deterministic (see the vendored proptest's `TestRng`), so any failure
 //! reproduces bit-for-bit.
 

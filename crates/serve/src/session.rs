@@ -191,16 +191,10 @@ struct Inner {
 fn compile_ap_template(patterns: &[&str], backend: &ApBackend) -> Result<ApTemplate, ServeError> {
     let set = PatternSet::compile(patterns)
         .map_err(|e| ServeError::Compile { message: e.to_string() })?;
+    // A compiled set is already trim, so nothing is stripped and the
+    // pattern attribution keeps its state ids.
     let (homog, owner_of_state) = set.to_homogeneous();
-    // Strip unreachable/dead STEs before compiling onto the AP —
-    // fewer columns per symbol cycle — and remap the pattern
-    // attribution through the renumbering (run-equivalence of the
-    // strip is property-tested in memcim-automata).
-    let (homog, remap) = homog.with_start_kind(StartKind::AllInput).strip();
-    let owner_of_state: HashMap<usize, usize> = owner_of_state
-        .into_iter()
-        .filter_map(|(state, pattern)| remap[state].map(|new| (new, pattern)))
-        .collect();
+    let homog = homog.with_start_kind(StartKind::AllInput);
     let routed = AutomataProcessor::compile_or_dense(&homog, backend.clone())?;
     Ok(ApTemplate {
         processor: routed.processor,

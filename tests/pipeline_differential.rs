@@ -31,7 +31,7 @@ fn pattern_strategy() -> impl Strategy<Value = String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// regex → Thompson → ε-elim → homogeneous → AP(RRAM, hierarchical)
+    /// regex → Glushkov NFA → homogeneous → AP(RRAM, hierarchical)
     /// equals the set-based NFA interpreter.
     #[test]
     fn full_pipeline_equals_reference(
