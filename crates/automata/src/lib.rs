@@ -52,5 +52,5 @@ pub use error::AutomataError;
 pub use homogeneous::{ApMatrices, HomogeneousAutomaton, HomogeneousRun, StartKind};
 pub use nfa::{MatchEvent, Nfa, StateId};
 pub use patterns::{dna, rules, PatternMatch, PatternSet};
-pub use regex::Regex;
+pub use regex::{Regex, MAX_DEPTH, MAX_NODES, MAX_POSITIONS};
 pub use symbol::SymbolClass;

@@ -7,6 +7,7 @@
 //! fan-out, dense symbol classes, and inputs with planted true positives
 //! (the substitution is documented in `DESIGN.md`).
 
+use crate::regex::Size;
 use crate::{AutomataError, HomogeneousAutomaton, Nfa, Regex, StateId};
 use rand::Rng;
 use std::collections::HashMap;
@@ -48,14 +49,23 @@ impl PatternSet {
     ///
     /// # Errors
     ///
-    /// Returns [`AutomataError::EmptyPatternSet`] for an empty slice and
-    /// propagates parse errors from individual patterns.
+    /// Returns [`AutomataError::EmptyPatternSet`] for an empty slice,
+    /// [`AutomataError::TooManyPositions`] or
+    /// [`AutomataError::TooManyNodes`] when the patterns together pass
+    /// [`MAX_POSITIONS`](crate::MAX_POSITIONS) or
+    /// [`MAX_NODES`](crate::MAX_NODES), and propagates parse errors from
+    /// individual patterns.
     pub fn compile(patterns: &[&str]) -> Result<Self, AutomataError> {
         if patterns.is_empty() {
             return Err(AutomataError::EmptyPatternSet);
         }
-        let parsed: Vec<Regex> =
-            patterns.iter().map(|p| Regex::parse(p)).collect::<Result<_, _>>()?;
+        let mut parsed: Vec<Regex> = Vec::with_capacity(patterns.len());
+        let mut used = Size::default();
+        for pattern in patterns {
+            let regex = Regex::parse_after(pattern, used)?;
+            used = used.plus(regex.size());
+            parsed.push(regex);
+        }
         let compiled: Vec<Nfa> = parsed.iter().map(Regex::compile).collect();
         let (nfa, maps) = Nfa::union(compiled.iter());
         let mut pattern_of_state = HashMap::new();

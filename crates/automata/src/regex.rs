@@ -9,6 +9,75 @@ use memcim_bits::BitVec;
 /// Maximum expansion of a bounded repetition `{m,n}`.
 const MAX_REPEAT: u32 = 256;
 
+/// Most Glushkov positions (class leaves, so automaton states less the
+/// start) one pattern, or one [`PatternSet`](crate::PatternSet) summed
+/// over its patterns, may compile to.
+///
+/// [`MAX_REPEAT`](Regex) caps each repeat but not their product: the
+/// 12-byte `(a{256}){64}` would expand to 16,384 positions, and each
+/// further `{256}` level multiplies that by 256. Parsing counts
+/// positions as it builds the syntax tree and refuses with
+/// [`AutomataError::TooManyPositions`] *before* an expansion past this
+/// cap allocates. The automaton's routing matrix and follow sets grow
+/// as positions², so 4,096 positions keep one compile to a few MiB.
+pub const MAX_POSITIONS: usize = 4096;
+
+/// Most syntax-tree nodes one pattern, or one
+/// [`PatternSet`](crate::PatternSet) summed over its patterns, may parse
+/// to.
+///
+/// Positions alone do not bound the tree: a repeat copies every node of
+/// its operand, and an operand of few or no positions can still be many
+/// nodes — `((((){256}){256}){256}){256}` holds no position at all but
+/// would expand to 256⁴ empty nodes, and `(a(||…|)){256}` copies a long
+/// alternation of empties 256 times. Parsing counts nodes alongside
+/// positions and refuses with [`AutomataError::TooManyNodes`] before an
+/// expansion past this cap allocates. Realistic patterns stay under a
+/// few nodes per position.
+pub const MAX_NODES: usize = 16 * MAX_POSITIONS;
+
+/// Deepest group nesting, and deepest syntax tree, one pattern may
+/// parse to.
+///
+/// Parsing, compiling and dropping a tree all recurse along its depth,
+/// so a pattern of a few KiB — 5,000 nested groups, or one class under
+/// thousands of stacked quantifiers (`a****…`) — would overflow a
+/// thread's stack and abort the process. Parsing refuses with
+/// [`AutomataError::TooDeep`] as soon as either passes this cap.
+pub const MAX_DEPTH: usize = 128;
+
+/// Positions and syntax-tree nodes of a tree (or of the running total
+/// of a pattern set), both checked against their caps as it grows.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Size {
+    positions: usize,
+    nodes: usize,
+}
+
+impl Size {
+    const LEAF: Self = Self { positions: 1, nodes: 1 };
+    const NODE: Self = Self { positions: 0, nodes: 1 };
+
+    pub(crate) fn plus(self, other: Self) -> Self {
+        Self {
+            positions: self.positions.saturating_add(other.positions),
+            nodes: self.nodes.saturating_add(other.nodes),
+        }
+    }
+
+    fn minus(self, other: Self) -> Self {
+        Self { positions: self.positions - other.positions, nodes: self.nodes - other.nodes }
+    }
+
+    /// `copies` of a tree of this size under `wrappers` more nodes.
+    fn times(self, copies: usize, wrappers: usize) -> Self {
+        Self {
+            positions: self.positions.saturating_mul(copies),
+            nodes: self.nodes.saturating_mul(copies).saturating_add(wrappers),
+        }
+    }
+}
+
 /// A parsed regular expression, compilable to an [`Nfa`].
 ///
 /// Supported syntax (byte semantics — `.` matches any byte):
@@ -32,6 +101,7 @@ const MAX_REPEAT: u32 = 256;
 pub struct Regex {
     ast: Ast,
     pattern: String,
+    size: Size,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -43,33 +113,43 @@ enum Ast {
     Star(Box<Ast>),
 }
 
-impl Ast {
-    /// Number of class leaves (Glushkov positions).
-    fn leaves(&self) -> usize {
-        match self {
-            Ast::Empty => 0,
-            Ast::Class(_) => 1,
-            Ast::Concat(parts) | Ast::Alt(parts) => parts.iter().map(Ast::leaves).sum(),
-            Ast::Star(inner) => inner.leaves(),
-        }
-    }
-}
-
 impl Regex {
     /// Parses a pattern.
     ///
     /// # Errors
     ///
     /// Returns [`AutomataError::ParseRegex`] with the failing byte offset
-    /// for malformed syntax, and [`AutomataError::InvalidRepetition`] for
-    /// bounds like `{3,1}` or repeats beyond 256.
+    /// for malformed syntax, [`AutomataError::InvalidRepetition`] for
+    /// bounds like `{3,1}` or repeats beyond 256, and
+    /// [`AutomataError::TooManyPositions`] for a pattern of more than
+    /// [`MAX_POSITIONS`] positions, [`AutomataError::TooManyNodes`] for
+    /// one whose syntax tree would pass [`MAX_NODES`] nodes and
+    /// [`AutomataError::TooDeep`] for one nested past [`MAX_DEPTH`].
     pub fn parse(pattern: &str) -> Result<Self, AutomataError> {
-        let mut p = Parser { bytes: pattern.as_bytes(), pos: 0 };
-        let ast = p.alternation()?;
+        Self::parse_after(pattern, Size::default())
+    }
+
+    /// [`parse`](Self::parse) as the next pattern of a set whose earlier
+    /// patterns already hold `used`: the [`MAX_POSITIONS`] and
+    /// [`MAX_NODES`] caps apply to the running totals.
+    pub(crate) fn parse_after(pattern: &str, used: Size) -> Result<Self, AutomataError> {
+        let mut p = Parser { bytes: pattern.as_bytes(), pos: 0, size: used, nesting: 0 };
+        let (ast, _depth) = p.alternation()?;
         if p.pos != p.bytes.len() {
             return Err(p.error("unexpected trailing input (unbalanced ')'?)"));
         }
-        Ok(Self { ast, pattern: pattern.to_string() })
+        Ok(Self { ast, pattern: pattern.to_string(), size: p.size.minus(used) })
+    }
+
+    /// Glushkov positions (class leaves) of the pattern: its automaton
+    /// has one more state, the start.
+    pub fn positions(&self) -> usize {
+        self.size.positions
+    }
+
+    /// Positions and syntax-tree nodes of the pattern.
+    pub(crate) fn size(&self) -> Size {
+        self.size
     }
 
     /// The original pattern text.
@@ -86,7 +166,7 @@ impl Regex {
     /// reaches an accepting state over the edge relation, so the machine
     /// is trim (even behind an empty class such as `[^\x00-\xff]`).
     pub fn compile(&self) -> Nfa {
-        Glushkov::compile(&self.ast)
+        Glushkov::compile(&self.ast, self.size.positions)
     }
 
     /// Samples a random string matched by this pattern (used by workload
@@ -131,6 +211,13 @@ impl Regex {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Positions and nodes of the tree built so far (plus those of
+    /// earlier patterns of the same set), kept within [`MAX_POSITIONS`]
+    /// and [`MAX_NODES`].
+    size: Size,
+    /// Groups open around the parse position, kept within
+    /// [`MAX_DEPTH`].
+    nesting: usize,
 }
 
 impl Parser<'_> {
@@ -148,60 +235,108 @@ impl Parser<'_> {
         Some(b)
     }
 
-    fn alternation(&mut self) -> Result<Ast, AutomataError> {
-        let mut branches = vec![self.concat()?];
-        while self.peek() == Some(b'|') {
-            self.pos += 1;
-            branches.push(self.concat()?);
+    /// Accounts a subtree of size `from` becoming one of size `to` (a
+    /// new node, or a quantifier's copies) and returns `to`, refusing
+    /// before the subtree is built if the tree would pass
+    /// [`MAX_POSITIONS`] or [`MAX_NODES`].
+    fn resize(&mut self, from: Size, to: Size) -> Result<Size, AutomataError> {
+        let total = self.size.minus(from).plus(to);
+        if total.positions > MAX_POSITIONS {
+            let positions = total.positions;
+            return Err(AutomataError::TooManyPositions { positions, limit: MAX_POSITIONS });
         }
-        Ok(if branches.len() == 1 {
-            branches.pop().expect("one branch")
-        } else {
-            Ast::Alt(branches)
-        })
+        if total.nodes > MAX_NODES {
+            return Err(AutomataError::TooManyNodes { nodes: total.nodes, limit: MAX_NODES });
+        }
+        self.size = total;
+        Ok(to)
     }
 
-    fn concat(&mut self) -> Result<Ast, AutomataError> {
+    /// Refuses a depth (of group nesting, or of a tree about to be
+    /// built) past [`MAX_DEPTH`].
+    fn deepen(&self, depth: usize) -> Result<usize, AutomataError> {
+        if depth > MAX_DEPTH {
+            return Err(AutomataError::TooDeep { depth, limit: MAX_DEPTH });
+        }
+        Ok(depth)
+    }
+
+    // Each production returns its tree and the tree's depth (at most;
+    // exact but for `{m,n}`).
+
+    fn alternation(&mut self) -> Result<(Ast, usize), AutomataError> {
+        let (first, mut depth) = self.concat()?;
+        let mut branches = vec![first];
+        while self.peek() == Some(b'|') {
+            self.pos += 1;
+            let (branch, branch_depth) = self.concat()?;
+            depth = depth.max(branch_depth);
+            branches.push(branch);
+        }
+        if branches.len() == 1 {
+            return Ok((branches.pop().expect("one branch"), depth));
+        }
+        self.resize(Size::default(), Size::NODE)?;
+        Ok((Ast::Alt(branches), self.deepen(depth + 1)?))
+    }
+
+    fn concat(&mut self) -> Result<(Ast, usize), AutomataError> {
         let mut parts = Vec::new();
+        let mut depth = 0;
         while let Some(b) = self.peek() {
             if b == b'|' || b == b')' {
                 break;
             }
-            parts.push(self.repeat()?);
+            let (part, part_depth) = self.repeat()?;
+            depth = depth.max(part_depth);
+            parts.push(part);
         }
-        Ok(match parts.len() {
-            0 => Ast::Empty,
-            1 => parts.pop().expect("one part"),
-            _ => Ast::Concat(parts),
-        })
+        if parts.len() == 1 {
+            return Ok((parts.pop().expect("one part"), depth));
+        }
+        self.resize(Size::default(), Size::NODE)?;
+        let depth = self.deepen(depth + 1)?;
+        Ok((if parts.is_empty() { Ast::Empty } else { Ast::Concat(parts) }, depth))
     }
 
-    fn repeat(&mut self) -> Result<Ast, AutomataError> {
-        let mut node = self.atom()?;
+    fn repeat(&mut self) -> Result<(Ast, usize), AutomataError> {
+        let before = self.size;
+        let (mut node, mut depth) = self.atom()?;
+        // Size of `node`, tracked through each quantifier.
+        let mut size = self.size.minus(before);
         loop {
             match self.peek() {
                 Some(b'*') => {
                     self.pos += 1;
+                    depth = self.deepen(depth + 1)?;
+                    size = self.resize(size, size.times(1, 1))?;
                     node = Ast::Star(Box::new(node));
                 }
                 Some(b'+') => {
                     self.pos += 1;
+                    depth = self.deepen(depth + 2)?;
+                    size = self.resize(size, size.times(2, 2))?;
                     node = Ast::Concat(vec![node.clone(), Ast::Star(Box::new(node))]);
                 }
                 Some(b'?') => {
                     self.pos += 1;
+                    depth = self.deepen(depth + 1)?;
+                    size = self.resize(size, size.times(1, 2))?;
                     node = Ast::Alt(vec![node, Ast::Empty]);
                 }
                 Some(b'{') => {
                     let open = self.pos;
                     self.pos += 1;
                     let (min, max) = self.bounds(open)?;
+                    // A `Concat` over copies, optional or starred ones.
+                    depth = self.deepen(depth + 2)?;
+                    size = self.resize(size, repeated(size, min, max))?;
                     node = expand_repeat(node, min, max);
                 }
                 _ => break,
             }
         }
-        Ok(node)
+        Ok((node, depth))
     }
 
     /// Parses `{m}`, `{m,}` or `{m,n}` after the opening brace.
@@ -244,28 +379,32 @@ impl Parser<'_> {
         Ok(n)
     }
 
-    fn atom(&mut self) -> Result<Ast, AutomataError> {
-        match self.bump() {
-            None => Err(self.error("unexpected end of pattern")),
+    fn atom(&mut self) -> Result<(Ast, usize), AutomataError> {
+        let class = match self.bump() {
+            None => return Err(self.error("unexpected end of pattern")),
             Some(b'(') => {
+                self.nesting = self.deepen(self.nesting + 1)?;
                 let inner = self.alternation()?;
                 if self.bump() != Some(b')') {
                     return Err(self.error("unbalanced '('"));
                 }
-                Ok(inner)
+                self.nesting -= 1;
+                return Ok(inner);
             }
-            Some(b'[') => self.class().map(Ast::Class),
-            Some(b'.') => Ok(Ast::Class(SymbolClass::ANY)),
-            Some(b'\\') => self.escape().map(Ast::Class),
+            Some(b'[') => self.class()?,
+            Some(b'.') => SymbolClass::ANY,
+            Some(b'\\') => self.escape()?,
             Some(b @ (b'*' | b'+' | b'?' | b'{' | b')')) => {
                 self.pos -= 1;
-                Err(self.error(match b {
+                return Err(self.error(match b {
                     b')' => "unbalanced ')'",
                     _ => "quantifier with nothing to repeat",
-                }))
+                }));
             }
-            Some(b) => Ok(Ast::Class(SymbolClass::of(b))),
-        }
+            Some(b) => SymbolClass::of(b),
+        };
+        self.resize(Size::default(), Size::LEAF)?;
+        Ok((Ast::Class(class), 1))
     }
 
     fn escape(&mut self) -> Result<SymbolClass, AutomataError> {
@@ -354,6 +493,20 @@ fn word_class() -> SymbolClass {
         .union(&SymbolClass::of(b'_'))
 }
 
+/// The size of [`expand_repeat`]`(node, min, max)` for a `node` of
+/// `size`: `{m,}` is m copies and a starred one, `{m,n}` is m copies and
+/// n − m optional ones (each an `Alt` with an `Empty`), all under one
+/// `Concat` unless a single part (or none, an `Empty`) remains.
+fn repeated(size: Size, min: u32, max: Option<u32>) -> Size {
+    let min = min as usize;
+    let (parts, wrappers) = match max {
+        None => (min + 1, 1),
+        Some(max) => (max as usize, 2 * (max as usize - min)),
+    };
+    let concat = usize::from(parts != 1);
+    size.times(parts, wrappers + concat)
+}
+
 /// Expands `{m,n}` / `{m,}` at the AST level.
 fn expand_repeat(node: Ast, min: u32, max: Option<u32>) -> Ast {
     let mut parts = Vec::new();
@@ -401,8 +554,8 @@ struct Glushkov {
 }
 
 impl Glushkov {
-    fn compile(ast: &Ast) -> Nfa {
-        let n = ast.leaves();
+    /// The automaton of `ast`, whose class leaves number `n`.
+    fn compile(ast: &Ast, n: usize) -> Nfa {
         let mut g = Self { classes: Vec::with_capacity(n), follow: vec![BitVec::new(n); n] };
         let root = g.span(ast);
         let mut nfa = Nfa::new();
@@ -586,6 +739,44 @@ mod tests {
     #[test]
     fn repeat_cap_is_enforced() {
         assert!(matches!(Regex::parse("a{999}"), Err(AutomataError::InvalidRepetition { .. })));
+    }
+
+    #[test]
+    fn parsing_counts_every_node_it_builds() {
+        fn nodes(ast: &Ast) -> usize {
+            1 + match ast {
+                Ast::Empty | Ast::Class(_) => 0,
+                Ast::Concat(parts) | Ast::Alt(parts) => parts.iter().map(nodes).sum(),
+                Ast::Star(inner) => nodes(inner),
+            }
+        }
+        for pattern in [
+            "",
+            "a",
+            "ab",
+            "a|",
+            "|",
+            "()",
+            "(|)",
+            "a*",
+            "a+",
+            "a?",
+            "(ab)+c?",
+            "a{0}",
+            "a{1}",
+            "a{3}",
+            "a{0,}",
+            "a{2,}",
+            "a{0,3}",
+            "a{2,5}",
+            "(a|b){2,4}x*",
+            "((a{0}){3}){2}",
+            "(a(||)){4}",
+            "[a-z]+\\.(com|org)?",
+        ] {
+            let regex = Regex::parse(pattern).expect(pattern);
+            assert_eq!(regex.size.nodes, nodes(&regex.ast), "{pattern}");
+        }
     }
 
     #[test]

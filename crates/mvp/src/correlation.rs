@@ -27,16 +27,28 @@
 //! sharded — can be pinned bit for bit on seeded synthetic data with
 //! planted correlated groups ([`EventStreams::synthesize`]).
 //!
-//! Sharding partitions the *streams* ([`ShardMap`](crate::ShardMap)):
-//! every shard replays the full window to rebuild the global activity
-//! planes (the statistic couples all streams), but masks and reads only
-//! its own stream range, so per-shard score deltas concatenate to the
-//! unsharded answer exactly.
+//! Wide windows split by *time* ([`CorrelationAccumulator::block_plans`]):
+//! `A(t)` depends only on column `t`, so a window cut into column
+//! blocks, each at most one engine wide, runs the whole monolithic plan
+//! once per block and the blocks' score deltas simply add. No block
+//! recomputes another's population count; this is how the serve layer
+//! spreads a window over its engines.
+//!
+//! Splitting by *streams* ([`CorrelationAccumulator::shard_feed_plan`]
+//! over a [`ShardMap`](crate::ShardMap)) also reproduces the monolithic
+//! scores, but every shard must replay the full window to rebuild the
+//! global activity planes (the statistic couples all streams), so the
+//! population count runs once per shard.
 
 use crate::{Instruction, MvpError, MvpSimulator};
 use memcim_bits::BitVec;
 use memcim_crossbar::CrossbarBackend;
 use std::ops::Range;
+
+/// One time block of a window ([`CorrelationAccumulator::block_plans`]):
+/// the window columns it covers and the monolithic feed program over
+/// them.
+pub type FeedBlock = (Range<usize>, Vec<Instruction>);
 
 /// Fewest streams that make a correlation question well-posed.
 pub const MIN_STREAMS: usize = 2;
@@ -368,19 +380,58 @@ impl CorrelationAccumulator {
     /// streams. Equivalent to
     /// [`shard_feed_plan`](Self::shard_feed_plan) over the full range.
     ///
+    /// The instruction sequence depends only on the stream count and
+    /// `width`: the window's bits enter only as the payloads of
+    /// `width`-wide `Store`s. So one verified plan vouches for every
+    /// plan of the same (streams, width) shape.
+    ///
     /// # Errors
     ///
     /// Returns [`MvpError::BadInput`] for a malformed window or one
-    /// that does not fit `width` columns.
+    /// that does not fit `width` columns (split it with
+    /// [`block_plans`](Self::block_plans)).
     pub fn feed_plan(&self, window: &[BitVec], width: usize) -> Result<Vec<Instruction>, MvpError> {
         self.shard_feed_plan(window, 0..self.streams, width)
+    }
+
+    /// Splits a window of any width by time into column blocks at most
+    /// `width` steps wide and plans each with the monolithic
+    /// [`feed_plan`](Self::feed_plan) over its columns. Returns one
+    /// `(columns, plan)` pair per block, in column order.
+    ///
+    /// Each block's `Read`s fold into the scores with
+    /// [`apply_reads`](Self::apply_reads)`(0..streams, …)`, and the block
+    /// deltas add up to the whole window's: `A(t)` depends only on
+    /// column `t`. Blocks are cut `width` wide except the last, so a
+    /// window costs ⌈w / width⌉ plans and none repeats another's
+    /// population count.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MvpError::BadInput`] for a malformed window or a
+    /// zero `width`.
+    pub fn block_plans(&self, window: &[BitVec], width: usize) -> Result<Vec<FeedBlock>, MvpError> {
+        let w = self.check_window(window)?;
+        if width == 0 {
+            return Err(MvpError::BadInput { reason: "a 0-column engine holds no block".into() });
+        }
+        Ok((0..w)
+            .step_by(width)
+            .map(|lo| {
+                let columns = lo..w.min(lo + width);
+                let plan = self.plan(window, columns.clone(), 0..self.streams, width);
+                (columns, plan)
+            })
+            .collect())
     }
 
     /// The shard-local feed program: rebuilds the *global* activity
     /// planes from the full window, but masks and reads only the
     /// streams in `range`. Applying every shard of a
     /// [`ShardMap`](crate::ShardMap) over the streams reproduces the
-    /// monolithic scores exactly.
+    /// monolithic scores exactly, at the price of one population count
+    /// per shard; [`block_plans`](Self::block_plans) splits by time
+    /// instead and pays for it once.
     ///
     /// The program uses [`rows_needed`]`(streams)` rows and emits
     /// `range.len() × planes` `Read`s, in `(stream, plane)` order.
@@ -395,7 +446,12 @@ impl CorrelationAccumulator {
         range: Range<usize>,
         width: usize,
     ) -> Result<Vec<Instruction>, MvpError> {
-        let w = self.check_window(window, width)?;
+        let w = self.check_window(window)?;
+        if w > width {
+            return Err(MvpError::BadInput {
+                reason: format!("{w}-step window does not fit a {width}-column engine"),
+            });
+        }
         if range.start >= range.end || range.end > self.streams {
             return Err(MvpError::BadInput {
                 reason: format!(
@@ -404,12 +460,31 @@ impl CorrelationAccumulator {
                 ),
             });
         }
+        Ok(self.plan(window, 0..w, range, width))
+    }
+
+    /// The feed program over the window's `columns` (at most `width`
+    /// of them, staged into `width`-wide rows), scoring the streams in
+    /// `scored`. Callers have validated the window and both ranges.
+    fn plan(
+        &self,
+        window: &[BitVec],
+        columns: Range<usize>,
+        scored: Range<usize>,
+        width: usize,
+    ) -> Vec<Instruction> {
+        let stage = |stream: &BitVec| {
+            let mut data = BitVec::new(width);
+            stream.extract_range_into(columns.start, columns.len(), &mut data);
+            data
+        };
         let planes = self.planes;
         let acc = |bank: usize, b: usize| 1 + bank * planes + b;
         let r_x = 0;
         let carries = [1 + 2 * planes, 2 + 2 * planes];
         let r_mask = 3 + 2 * planes;
-        let mut program = Vec::new();
+        let mut program =
+            Vec::with_capacity(planes + (window.len() + scored.len()) * (1 + 2 * planes));
         // Phase 1: ripple-carry popcount of stream activity into
         // ping-pong plane banks, one stream row at a time.
         for b in 0..planes {
@@ -417,10 +492,7 @@ impl CorrelationAccumulator {
         }
         let mut cur = 0;
         for stream in window {
-            program.push(Instruction::Store {
-                row: r_x,
-                data: crate::sharded::slice_to_width(stream, 0..w, width)?,
-            });
+            program.push(Instruction::Store { row: r_x, data: stage(stream) });
             let mut carry = r_x;
             for b in 0..planes {
                 program.push(Instruction::Xor { a: acc(cur, b), b: carry, dst: acc(1 - cur, b) });
@@ -432,17 +504,14 @@ impl CorrelationAccumulator {
         }
         // Phase 2: mask each scored stream against every activity plane
         // and read the co-activation columns back.
-        for i in range {
-            program.push(Instruction::Store {
-                row: r_x,
-                data: crate::sharded::slice_to_width(&window[i], 0..w, width)?,
-            });
+        for i in scored {
+            program.push(Instruction::Store { row: r_x, data: stage(&window[i]) });
             for b in 0..planes {
                 program.push(Instruction::And { srcs: vec![r_x, acc(cur, b)], dst: r_mask });
                 program.push(Instruction::Read { row: r_mask });
             }
         }
-        Ok(program)
+        program
     }
 
     /// Folds the `Read` outputs of a feed program for stream `range`
@@ -508,10 +577,9 @@ impl CorrelationAccumulator {
                 ),
             });
         }
-        let w = self.check_window(window, mvp.width())?;
         let outputs = mvp.run_program(&self.feed_plan(window, mvp.width())?)?;
         self.apply_reads(0..self.streams, &outputs)?;
-        self.note_window(w);
+        self.note_window(window[0].len());
         Ok(())
     }
 
@@ -527,7 +595,8 @@ impl CorrelationAccumulator {
         out
     }
 
-    fn check_window(&self, window: &[BitVec], width: usize) -> Result<usize, MvpError> {
+    /// Validates a window's shape and returns its width in steps.
+    fn check_window(&self, window: &[BitVec]) -> Result<usize, MvpError> {
         if window.len() != self.streams {
             return Err(MvpError::BadInput {
                 reason: format!(
@@ -546,11 +615,6 @@ impl CorrelationAccumulator {
         if window.iter().any(|s| s.len() != w) {
             return Err(MvpError::BadInput {
                 reason: "every stream must cover the same window steps".into(),
-            });
-        }
-        if w > width {
-            return Err(MvpError::BadInput {
-                reason: format!("{w}-step window does not fit a {width}-column engine"),
             });
         }
         Ok(w)
@@ -628,6 +692,27 @@ mod tests {
             acc.note_window(streams.steps());
             assert_eq!(acc.scores(), &expected[..], "{shards} shards");
         }
+    }
+
+    #[test]
+    fn time_blocks_of_a_wide_window_add_up_to_the_reference() {
+        let (_, streams) = corpus();
+        let expected = correlation_reference(streams.data()).expect("reference");
+        let mut acc = CorrelationAccumulator::new(24).expect("streams");
+        let mut engine = MvpSimulator::new(rows_needed(24), 100);
+        let blocks = acc.block_plans(streams.data(), engine.width()).expect("blocks");
+        assert_eq!(blocks.len(), 768usize.div_ceil(100));
+        assert_eq!(blocks.last().map(|(columns, _)| columns.clone()), Some(700..768));
+        for (_, plan) in &blocks {
+            let outputs = engine.run_program(plan).expect("block runs");
+            acc.apply_reads(0..24, &outputs).expect("apply");
+        }
+        assert_eq!(acc.scores(), &expected[..]);
+        // One population count per block: 24 streams × 5 planes × 2 ops.
+        let phase1 = 24 * 5 * 2;
+        let phase2 = 24 * 5;
+        assert_eq!(engine.ledger().scouting_ops(), (blocks.len() * (phase1 + phase2)) as u64);
+        assert!(matches!(acc.block_plans(streams.data(), 0), Err(MvpError::BadInput { .. })));
     }
 
     #[test]

@@ -21,8 +21,10 @@ use memcim_mvp::{BatchRequest, Instruction};
 pub(crate) struct ShardRoute {
     /// The shard whose records this sub-query touches.
     pub(crate) shard: usize,
-    /// Placement attempts so far (0 on first submit; each re-route
-    /// after an engine retirement increments it).
+    /// The replica-search offset into the shard's replica set
+    /// ([`Catalog::route`](crate::placement::Catalog::route)): where
+    /// the first submit starts (0, or a correlation session's replica
+    /// rotation), plus one per re-route after an engine retirement.
     pub(crate) attempts: u32,
 }
 
@@ -32,8 +34,9 @@ pub(crate) struct ShardRoute {
 pub(crate) struct Envelope {
     pub(crate) tenant: TenantId,
     pub(crate) job: Job,
-    /// `Some` for scatter-gather sub-queries (always delivered via a
-    /// worker mailbox); `None` for ordinary shared-lane jobs.
+    /// `Some` for jobs routed to a shard, scatter-gather sub-queries and
+    /// correlation blocks (always delivered via a worker mailbox);
+    /// `None` for ordinary shared-lane jobs.
     pub(crate) route: Option<ShardRoute>,
     pub(crate) responder: Responder,
 }
@@ -50,8 +53,14 @@ pub(crate) enum Unit {
         shard: Option<usize>,
         programs: Vec<(Vec<Instruction>, Option<ShardRoute>, Responder)>,
     },
-    /// A client-assembled batch, executed as submitted.
-    MvpSolo { tenant: TenantId, batch: BatchRequest, responder: Responder },
+    /// A batch executed as submitted, never merged: a client-assembled
+    /// batch, or one correlation block that must own its ledger delta.
+    MvpSolo {
+        tenant: TenantId,
+        batch: BatchRequest,
+        route: Option<ShardRoute>,
+        responder: Responder,
+    },
     /// One streaming chunk for an AP session.
     ApFeed { tenant: TenantId, session: SessionId, chunk: Vec<u8>, responder: Responder },
     /// Stream end for an AP session.
@@ -94,7 +103,7 @@ pub(crate) fn coalesce(burst: impl IntoIterator<Item = Envelope>) -> Vec<Unit> {
                     }),
                 }
             }
-            Job::MvpBatch(batch) => units.push(Unit::MvpSolo { tenant, batch, responder }),
+            Job::MvpBatch(batch) => units.push(Unit::MvpSolo { tenant, batch, route, responder }),
             Job::ApFeed { session, chunk } => {
                 units.push(Unit::ApFeed { tenant, session, chunk, responder })
             }

@@ -20,9 +20,11 @@
 //! * **Streaming correlation sessions** — the temporal-correlation
 //!   workload (`memcim_mvp::correlation`, after arXiv:1706.00511) runs
 //!   as a long-lived job: [`Service::open_corr_session`] →
-//!   [`Service::corr_feed`] event-batch windows (executed on the
-//!   engines, sharded when placement is configured, applied only when
-//!   every shard succeeded) → [`Service::corr_finish`] for the
+//!   [`Service::corr_feed`] event-batch windows (split by time into
+//!   blocks at most one engine wide, one engine job per block, block
+//!   `k` of session `s` on shard `(s + k) mod shards` when placement is
+//!   configured; applied only when every block succeeded) →
+//!   [`Service::corr_finish`] for the
 //!   correlated-set report, billed incrementally through a session
 //!   watermark. AP and correlation sessions share one table; a verb
 //!   against the wrong kind is refused typed

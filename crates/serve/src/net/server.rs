@@ -21,9 +21,12 @@
 //!
 //! Nothing in this path blocks on the bounded queue, so a greedy client
 //! saturating the service stalls neither the accept loop nor another
-//! tenant's connection. Malformed frames are answered with typed error
-//! frames and the connection continues; only *unframeable* input (an
-//! oversized length prefix, a mid-frame cut) closes it.
+//! tenant's connection. A connection that completes no `Hello` within
+//! [`NetConfig::hello_timeout`] is sent one `Unauthenticated` frame and
+//! closed, so silent sockets cannot hold connection slots. Malformed
+//! frames are answered with typed error frames and the connection
+//! continues; only *unframeable* input (an oversized length prefix, a
+//! mid-frame cut) closes it.
 
 use super::admission::{AdmissionControl, TenantPolicy};
 use super::wire::{
@@ -34,11 +37,12 @@ use crate::sync;
 use crate::{Job, ServeError, Service, TenantId};
 use memcim_mvp::BatchRequest;
 use std::collections::HashMap;
+use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Sizing and tenant registry for the network front door.
 #[derive(Debug, Clone)]
@@ -53,6 +57,11 @@ pub struct NetConfig {
     pub max_connections: usize,
     /// The registered tenants and their policies.
     pub tenants: Vec<(TenantId, TenantPolicy)>,
+    /// How long a new connection has to complete its `Hello` (10 s by
+    /// default). One that has not is answered with an `Unauthenticated`
+    /// frame and closed, which frees its slot under
+    /// [`max_connections`](Self::max_connections).
+    pub hello_timeout: Duration,
 }
 
 impl Default for NetConfig {
@@ -62,6 +71,7 @@ impl Default for NetConfig {
             max_frame: MAX_FRAME_DEFAULT,
             max_connections: 256,
             tenants: Vec::new(),
+            hello_timeout: Duration::from_secs(10),
         }
     }
 }
@@ -85,6 +95,13 @@ impl NetConfig {
     #[must_use]
     pub fn with_max_connections(mut self, max_connections: usize) -> Self {
         self.max_connections = max_connections;
+        self
+    }
+
+    /// Sets the deadline for a new connection's `Hello`.
+    #[must_use]
+    pub fn with_hello_timeout(mut self, hello_timeout: Duration) -> Self {
+        self.hello_timeout = hello_timeout;
         self
     }
 
@@ -265,10 +282,10 @@ fn accept_loop(
         let service = Arc::clone(service);
         let admission = Arc::clone(admission);
         let handler_registry = Arc::clone(registry);
-        let max_frame = config.max_frame;
+        let (max_frame, hello_timeout) = (config.max_frame, config.hello_timeout);
         let spawned =
             std::thread::Builder::new().name(format!("memcim-net-conn-{id}")).spawn(move || {
-                handle_connection(&mut stream, &service, &admission, max_frame);
+                handle_connection(&mut stream, &service, &admission, max_frame, hello_timeout);
                 handler_registry.deregister(id);
             });
         match spawned {
@@ -284,19 +301,63 @@ fn accept_loop(
     }
 }
 
+/// Reads from a connection that must complete its `Hello` by
+/// `deadline`: each read waits at most the time left, so neither silence
+/// nor a trickle of bytes holds the connection past it.
+struct BeforeDeadline<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for BeforeDeadline<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 /// One connection's request/response loop. Never panics on peer input:
 /// decode failures become typed error frames, socket failures end the
-/// loop.
+/// loop, and a connection still unauthenticated at `hello_timeout` is
+/// refused and closed.
 fn handle_connection(
     stream: &mut TcpStream,
     service: &Service,
     admission: &AdmissionControl,
     max_frame: usize,
+    hello_timeout: Duration,
 ) {
+    // A timeout too long for the clock to represent is no deadline.
+    let deadline = Instant::now().checked_add(hello_timeout);
     let mut authenticated: Option<TenantId> = None;
     loop {
-        let body = match read_frame(stream, max_frame) {
+        let read = match (authenticated, deadline) {
+            (None, Some(deadline)) => {
+                read_frame(&mut BeforeDeadline { stream, deadline }, max_frame)
+            }
+            _ => read_frame(stream, max_frame),
+        };
+        let body = match read {
             Ok(body) => body,
+            Err(FrameReadError::Io(e))
+                if authenticated.is_none()
+                    && matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ) =>
+            {
+                let refusal = Response::Error {
+                    code: ErrorCode::Unauthenticated,
+                    message: format!("no Hello within {hello_timeout:?}"),
+                };
+                let _ = write_frame(stream, &encoded_or_internal(&refusal));
+                return;
+            }
             Err(FrameReadError::Closed) => return,
             Err(FrameReadError::TooLarge { declared, max }) => {
                 // The body was not read, so the stream can no longer be
@@ -310,11 +371,16 @@ fn handle_connection(
             }
             Err(FrameReadError::Truncated) | Err(FrameReadError::Io(_)) => return,
         };
+        let was_authenticated = authenticated.is_some();
         let response = match Request::decode(&body) {
             // Frame boundaries survived a bad body: answer and go on.
             Err(e) => Response::Error { code: e.error_code(), message: e.to_string() },
             Ok(request) => dispatch(request, &mut authenticated, service, admission),
         };
+        // Authenticated: the Hello deadline no longer applies.
+        if !was_authenticated && authenticated.is_some() && stream.set_read_timeout(None).is_err() {
+            return;
+        }
         if write_frame(stream, &encoded_or_internal(&response)).is_err() {
             return;
         }
@@ -492,7 +558,13 @@ fn dispatch(
             }
         }
         Request::CorrFeed { session, window } => {
-            if let Err(e) = admission.admit(tenant, 1, Instant::now()) {
+            // A feed runs as one engine job per engine-wide column
+            // block, and is charged per block as `Submit` is per
+            // program.
+            let steps = window.first().map_or(0, memcim_bits::BitVec::len);
+            let blocks = steps.div_ceil(service.config().mvp_width()).max(1);
+            let jobs = u32::try_from(blocks).unwrap_or(u32::MAX);
+            if let Err(e) = admission.admit(tenant, jobs, Instant::now()) {
                 return error_frame(&e);
             }
             // Unlike `Submit`, a feed of an open streaming session may

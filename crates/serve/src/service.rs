@@ -14,7 +14,7 @@ use crate::{
 use memcim_ap::ApBackend;
 use memcim_bits::BitVec;
 use memcim_crossbar::{BankedCrossbar, CrossbarBackend, EccCrossbar, HammingCode, OpLedger};
-use memcim_mvp::{correlation, BatchRequest, Instruction, MvpError, MvpSimulator, ShardMap};
+use memcim_mvp::{correlation, BatchRequest, Instruction, MvpError, MvpSimulator};
 use memcim_units::{Joules, Seconds};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -767,55 +767,63 @@ impl Service {
     }
 
     /// Fans validated shard-local programs out to one live replica per
-    /// shard — the enqueue half of a scatter, shared by external
-    /// scatters ([`submit_sharded`](Self::submit_sharded)) and the
-    /// internal feeds of streaming correlation sessions (which must
-    /// keep passing while the service drains).
+    /// shard: the enqueue half of [`submit_sharded`](Self::submit_sharded).
     fn scatter_routed(
         &self,
         tenant: TenantId,
         subqueries: Vec<(usize, Vec<Instruction>)>,
         catalog: &Catalog,
     ) -> ShardedTicket {
-        let mut parts = Vec::with_capacity(subqueries.len());
-        for (shard, program) in subqueries {
-            let (ticket, responder) = ticket_pair();
-            parts.push((shard, ticket));
-            match catalog.route(shard, 0) {
-                // Fail fast: the dead shard resolves its own ticket
-                // while the rest of the scatter proceeds.
-                None => responder.fulfil(Err(ServeError::ShardUnavailable { shard })),
-                Some(worker) => {
-                    let envelope = Envelope {
-                        tenant,
-                        job: Job::MvpProgram(program),
-                        route: Some(ShardRoute { shard, attempts: 0 }),
-                        responder,
-                    };
-                    if let Err(envelope) = self.shared.queue.push_to(worker, envelope) {
-                        envelope.responder.fulfil(Err(ServeError::ShuttingDown));
-                    }
-                }
-            }
-        }
+        let parts = subqueries
+            .into_iter()
+            .map(|(shard, program)| {
+                (shard, self.push_routed(tenant, Job::MvpProgram(program), shard, 0, catalog))
+            })
+            .collect();
         ShardedTicket::new(parts)
     }
 
-    /// Enqueues one engine sub-program of an open streaming session on
-    /// the shared (unrouted) lane, bypassing the drain gate: feeds of
-    /// open sessions keep passing while the service drains, exactly
-    /// like AP feed jobs.
-    fn push_streaming_program(
+    /// Delivers one validated MVP job to a live replica of `shard`,
+    /// searching the replica set from offset `rotation`
+    /// ([`Catalog::route`]), with the usual kill-a-replica failover. A
+    /// shard whose replicas are all dead resolves the ticket at once
+    /// with [`ServeError::ShardUnavailable`]. Bypasses the drain gate,
+    /// so feeds of open correlation sessions keep passing while the
+    /// service drains.
+    fn push_routed(
         &self,
         tenant: TenantId,
-        program: Vec<Instruction>,
-    ) -> Result<Ticket, ServeError> {
+        job: Job,
+        shard: usize,
+        rotation: u32,
+        catalog: &Catalog,
+    ) -> Ticket {
         let (ticket, responder) = ticket_pair();
-        self.shared
-            .queue
-            .push(Envelope { tenant, job: Job::MvpProgram(program), route: None, responder })
-            .map_err(|_| ServeError::ShuttingDown)?;
-        Ok(ticket)
+        match catalog.route(shard, rotation) {
+            None => responder.fulfil(Err(ServeError::ShardUnavailable { shard })),
+            Some(worker) => {
+                let route = Some(ShardRoute { shard, attempts: rotation });
+                let envelope = Envelope { tenant, job, route, responder };
+                if let Err(envelope) = self.shared.queue.push_to(worker, envelope) {
+                    envelope.responder.fulfil(Err(ServeError::ShuttingDown));
+                }
+            }
+        }
+        ticket
+    }
+
+    /// Enqueues one job of an open streaming session on the shared
+    /// (unrouted) lane, bypassing the drain gate: feeds of open
+    /// sessions keep passing while the service drains, exactly like AP
+    /// feed jobs.
+    fn push_streaming(&self, tenant: TenantId, job: Job) -> Ticket {
+        let (ticket, responder) = ticket_pair();
+        if let Err(envelope) =
+            self.shared.queue.push(Envelope { tenant, job, route: None, responder })
+        {
+            envelope.responder.fulfil(Err(ServeError::ShuttingDown));
+        }
+        ticket
     }
 
     /// Enters drain mode: new MVP submissions, sharded scatters and
@@ -892,9 +900,8 @@ impl Service {
     /// # Errors
     ///
     /// [`ServeError::Mvp`] (`BadInput`) when the stream count is below
-    /// the workload minimum, needs more crossbar rows than the worker
-    /// engines have, or (on a sharded service) is smaller than the
-    /// shard count; [`ServeError::ShuttingDown`] while
+    /// the workload minimum or needs more crossbar rows than the worker
+    /// engines have; [`ServeError::ShuttingDown`] while
     /// [draining](Self::begin_drain).
     pub fn open_corr_session(
         &self,
@@ -917,32 +924,37 @@ impl Service {
                     ),
                 }));
             }
-            if let Some(catalog) = &self.shared.catalog {
-                if streams < catalog.shards() {
-                    return Err(ServeError::Mvp(MvpError::BadInput {
-                        reason: format!(
-                            "{streams} streams cannot be partitioned over {} shards",
-                            catalog.shards()
-                        ),
-                    }));
-                }
-            }
         }
         self.shared.sessions.open_corr(tenant, streams, threshold)
     }
 
     /// Streams one time window (one [`BitVec`] of activity per stream,
-    /// all the same width) through an open correlation session. The
-    /// feed plans the window into crossbar programs — one per shard on
-    /// a sharded service, scattered through the placement catalog with
-    /// the usual kill-a-replica failover — waits for every engine
-    /// answer, folds the co-activation reads into the session's scores,
-    /// and bills the absorbed stream-slots through the session's
-    /// watermark (the engine work is billed on the tenant's MVP
-    /// ledger by the workers that executed it). Returns the session's
-    /// *cumulative* report. Windows of one session must be serialized
-    /// by the client: a concurrent feed sees
+    /// all the same width, of any width) through an open correlation
+    /// session. The feed splits the window by *time* into column blocks
+    /// at most one engine wide; each block runs the whole monolithic
+    /// feed program as one engine job, and the blocks' score deltas
+    /// add, so no block repeats another's population count. On a
+    /// placement service block `k` of session `s` goes to a live
+    /// replica of shard `(s + k) mod shards` with the usual
+    /// kill-a-replica failover, so concurrent sessions start on
+    /// different shards, and each window starts its replica search one
+    /// replica further on, so a session's windows spread over the
+    /// shard's replicas; without a catalog the blocks share the
+    /// unrouted lane. The feed waits for
+    /// every block's answer, folds the co-activation reads into the
+    /// session's scores, and bills the absorbed stream-slots through
+    /// the session's watermark (the engine work is billed on the
+    /// tenant's MVP ledger, one job per block, by the workers that
+    /// executed it). Returns the session's *cumulative* report, whose
+    /// energy adds the blocks' and whose busy time adds, per window,
+    /// the busiest lane's blocks (blocks of one shard, or of the shared
+    /// lane, run back to back). Windows of one session must be
+    /// serialized by the client: a concurrent feed sees
     /// [`ServeError::SessionBusy`].
+    ///
+    /// The session's first feed statically verifies its plan shape; a
+    /// plan's instructions depend only on the stream count and the
+    /// engine width, so later feeds skip verification.
     ///
     /// Like AP feeds, correlation feeds keep passing while the service
     /// [drains](Self::begin_drain), so open sessions can finish.
@@ -953,8 +965,8 @@ impl Service {
     /// [`ServeError::WrongSessionKind`] for session mishaps,
     /// [`ServeError::Mvp`] (`BadInput`) for a malformed window,
     /// [`ServeError::InvalidProgram`] when static verification refuses
-    /// a generated plan, [`ServeError::ShardUnavailable`] when a
-    /// shard's whole replica set is dead, and
+    /// the session's plan shape, [`ServeError::ShardUnavailable`] when
+    /// a shard the window routes to has no live replica, and
     /// [`ServeError::ShuttingDown`] when the service closes mid-feed.
     /// On any error the window leaves no trace: scores are only applied
     /// once every engine answer arrived, so the client may retry the
@@ -966,7 +978,7 @@ impl Service {
         window: &[BitVec],
     ) -> Result<CorrFeedReport, ServeError> {
         let mut state = self.shared.sessions.checkout_corr(session, tenant)?;
-        let fed = self.feed_checked_out(tenant, &mut state, window);
+        let fed = self.feed_checked_out(tenant, session, &mut state, window);
         let report = CorrFeedReport {
             events: state.accumulator.events(),
             energy: state.energy,
@@ -977,54 +989,87 @@ impl Service {
     }
 
     /// The engine round-trip of one correlation feed, with the session
-    /// checked out. Scores are mutated only after *every* engine answer
-    /// arrived, so an error leaves the accumulator untouched.
+    /// checked out: the window is cut by time into blocks at most one
+    /// engine wide ([`CorrelationAccumulator::block_plans`]), each block
+    /// runs as its own engine job on a lane — block `k` of session `s`
+    /// on a live replica of shard `(s + k) mod shards`, or every block
+    /// on the shared lane without a catalog — and the reads are folded
+    /// in only once *every* block answered, so an error leaves the
+    /// accumulator untouched.
+    ///
+    /// The feed's ledger models blocks of one lane as running back to
+    /// back (they queue on the same replica, or the shared lane) and
+    /// lanes as running in parallel: energy adds over blocks, busy time
+    /// is the busiest lane's sum.
+    ///
+    /// [`CorrelationAccumulator::block_plans`]: memcim_mvp::correlation::CorrelationAccumulator::block_plans
     fn feed_checked_out(
         &self,
         tenant: TenantId,
+        session: SessionId,
         state: &mut CorrSession,
         window: &[BitVec],
     ) -> Result<(), ServeError> {
-        let config = &self.shared.config;
-        let width = config.mvp_width();
+        let blocks = state.accumulator.block_plans(window, self.shared.config.mvp_width())?;
+        if !state.plan_verified {
+            // Every plan of this session has the first one's shape.
+            if let Some((_, plan)) = blocks.first() {
+                self.shared.config.verify_program(plan)?;
+            }
+            state.plan_verified = true;
+        }
+        let rotation = state.windows;
+        state.windows = state.windows.wrapping_add(1);
+        // Sessions start on different shards, so concurrent sessions
+        // spread over the whole pool.
+        let lanes = self.shared.catalog.as_ref().map_or(1, Catalog::shards);
+        let first = (session % lanes as u64) as usize;
+        let tickets: Vec<(usize, Ticket)> = blocks
+            .into_iter()
+            .enumerate()
+            .map(|(k, (_, plan))| {
+                let lane = (first + k) % lanes;
+                let job = Job::MvpBatch(BatchRequest::new().with_program(plan));
+                let ticket = match &self.shared.catalog {
+                    Some(catalog) => {
+                        // The offset stays below the replica count, so
+                        // failover's attempt cap still counts re-routes.
+                        let replicas = catalog.replicas() as u32;
+                        self.push_routed(tenant, job, lane, rotation % replicas, catalog)
+                    }
+                    None => self.push_streaming(tenant, job),
+                };
+                (lane, ticket)
+            })
+            .collect();
+        let mut lane_ledgers = vec![OpLedger::new(); lanes];
+        let mut reads = Vec::with_capacity(tickets.len());
+        for (lane, ticket) in tickets {
+            let output = ticket.wait()?.into_mvp().ok_or_else(|| ServeError::Internal {
+                message: "a correlation block resolved to a non-MVP output".into(),
+            })?;
+            lane_ledgers[lane].merge_serial(&output.burst.ledger);
+            reads.push(output.outputs.into_iter().next().unwrap_or_default());
+        }
+        let mut ledger = OpLedger::new();
+        for lane in &lane_ledgers {
+            ledger.merge_parallel(lane);
+        }
+        // Every block is checked before any is applied, so a malformed
+        // answer leaves no trace either.
         let streams = state.accumulator.streams();
-        let (ledger, slices) = match &self.shared.catalog {
-            None => {
-                let plan = state.accumulator.feed_plan(window, width)?;
-                config.verify_program(&plan)?;
-                let output =
-                    self.push_streaming_program(tenant, plan)?.wait()?.into_mvp().ok_or_else(
-                        || ServeError::Internal {
-                            message: "a correlation feed resolved to a non-MVP output".into(),
-                        },
-                    )?;
-                let outputs = output.outputs.into_iter().next().unwrap_or_default();
-                (output.burst.ledger, vec![(0..streams, outputs)])
-            }
-            Some(catalog) => {
-                let map = ShardMap::new(streams, catalog.shards())?;
-                let mut subqueries = Vec::with_capacity(map.shards());
-                for shard in 0..map.shards() {
-                    let plan =
-                        state.accumulator.shard_feed_plan(window, map.range(shard), width)?;
-                    config.verify_program(&plan)?;
-                    subqueries.push((shard, plan));
-                }
-                let gathered = self.scatter_routed(tenant, subqueries, catalog).wait()?;
-                let slices = gathered
-                    .partials
-                    .into_iter()
-                    .map(|partial| (map.range(partial.shard), partial.outputs))
-                    .collect();
-                (gathered.ledger, slices)
-            }
-        };
-        for (range, outputs) in slices {
-            state.accumulator.apply_reads(range, &outputs)?;
+        let expected = streams * state.accumulator.planes();
+        if reads.iter().any(|block| block.len() != expected) {
+            return Err(ServeError::Internal {
+                message: format!("a correlation block answered without its {expected} reads"),
+            });
+        }
+        for block in &reads {
+            state.accumulator.apply_reads(0..streams, block)?;
         }
         state.energy += ledger.energy();
         state.busy += ledger.busy_time();
-        state.accumulator.note_window(window.first().map_or(0, memcim_bits::BitVec::len));
+        state.accumulator.note_window(window.first().map_or(0, BitVec::len));
         let events = state.take_unaccounted_events();
         self.shared.account_corr(tenant, events);
         Ok(())
@@ -1173,7 +1218,7 @@ fn divert(tenant: TenantId, job: Job, responder: Responder, shared: &Shared) {
 /// dead — a ticket is never stranded and never bounces forever.
 fn divert_routed(
     tenant: TenantId,
-    program: Vec<Instruction>,
+    job: Job,
     route: ShardRoute,
     responder: Responder,
     shared: &Shared,
@@ -1199,7 +1244,7 @@ fn divert_routed(
         Some(worker) => {
             let envelope = Envelope {
                 tenant,
-                job: Job::MvpProgram(program),
+                job,
                 route: Some(ShardRoute { shard: route.shard, attempts }),
                 responder,
             };
@@ -1215,17 +1260,17 @@ fn divert_routed(
     std::thread::sleep(std::time::Duration::from_millis(backoff));
 }
 
-/// Dispatches a diverted single program through the route-aware path.
-fn divert_program(
+/// Dispatches a diverted MVP job through the route-aware path.
+fn divert_job(
     tenant: TenantId,
-    program: Vec<Instruction>,
+    job: Job,
     route: Option<ShardRoute>,
     responder: Responder,
     shared: &Shared,
 ) {
     match route {
-        Some(route) => divert_routed(tenant, program, route, responder, shared),
-        None => divert(tenant, Job::MvpProgram(program), responder, shared),
+        Some(route) => divert_routed(tenant, job, route, responder, shared),
+        None => divert(tenant, job, responder, shared),
     }
 }
 
@@ -1238,7 +1283,7 @@ fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker
                 // each over through the catalog (or requeue unrouted
                 // jobs onto the shared lane).
                 for (program, route, responder) in programs {
-                    divert_program(tenant, program, route, responder, shared);
+                    divert_job(tenant, Job::MvpProgram(program), route, responder, shared);
                 }
                 return;
             };
@@ -1272,7 +1317,7 @@ fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker
                     for (program, (route, responder)) in
                         batch.programs().iter().cloned().zip(waiters)
                     {
-                        divert_program(tenant, program, route, responder, shared);
+                        divert_job(tenant, Job::MvpProgram(program), route, responder, shared);
                     }
                 }
                 // One bad program poisons a coalesced run (run_batch
@@ -1287,9 +1332,8 @@ fn execute_unit(unit: Unit, engine: &mut Option<Engine>, shared: &Shared, worker
                 }
             }
         }
-        Unit::MvpSolo { tenant, batch, responder } => {
-            let jobs = 1;
-            run_solo(tenant, batch, jobs, responder, engine, shared, worker);
+        Unit::MvpSolo { tenant, batch, route, responder } => {
+            run_solo(tenant, batch, route, responder, engine, shared, worker);
         }
         Unit::ApFeed { tenant, session, chunk, responder } => {
             match shared.sessions.checkout_ap(session, tenant) {
@@ -1375,29 +1419,30 @@ fn ap_matches(state: &ApSession, run: &memcim_ap::ApRun) -> ApMatches {
     }
 }
 
+/// Runs one batch as its own job, keeping its shard route (if any) so a
+/// fatal engine error still fails over through the catalog.
 fn run_solo(
     tenant: TenantId,
     batch: BatchRequest,
-    jobs: u64,
+    route: Option<ShardRoute>,
     responder: Responder,
     engine: &mut Option<Engine>,
     shared: &Shared,
     worker: usize,
 ) {
     let Some(mvp) = engine.as_mut() else {
-        divert(tenant, Job::MvpBatch(batch), responder, shared);
+        divert_job(tenant, Job::MvpBatch(batch), route, responder, shared);
         return;
     };
     match mvp.run_batch(&batch) {
         Ok(report) => {
-            let burst =
-                BurstReport { jobs: jobs as usize, programs: batch.len(), ledger: report.ledger };
-            shared.account_mvp(tenant, &report.ledger, jobs);
+            let burst = BurstReport { jobs: 1, programs: batch.len(), ledger: report.ledger };
+            shared.account_mvp(tenant, &report.ledger, 1);
             responder.fulfil(Ok(JobOutput::Mvp(MvpOutput { outputs: report.outputs, burst })));
         }
         Err(e) if is_engine_fatal(&e) => {
             retire_engine(engine, shared, worker);
-            divert(tenant, Job::MvpBatch(batch), responder, shared);
+            divert_job(tenant, Job::MvpBatch(batch), route, responder, shared);
         }
         Err(e) => responder.fulfil(Err(e.into())),
     }
@@ -1415,7 +1460,7 @@ fn run_solo_program(
     worker: usize,
 ) {
     let Some(mvp) = engine.as_mut() else {
-        divert_program(tenant, program, route, responder, shared);
+        divert_job(tenant, Job::MvpProgram(program), route, responder, shared);
         return;
     };
     let batch = BatchRequest::new().with_program(program);
@@ -1428,7 +1473,7 @@ fn run_solo_program(
         Err(e) if is_engine_fatal(&e) => {
             retire_engine(engine, shared, worker);
             let program = batch.programs()[0].clone();
-            divert_program(tenant, program, route, responder, shared);
+            divert_job(tenant, Job::MvpProgram(program), route, responder, shared);
         }
         Err(e) => responder.fulfil(Err(e.into())),
     }

@@ -67,6 +67,15 @@ pub(crate) struct CorrSession {
     /// cumulative feed reports.
     pub(crate) energy: memcim_units::Joules,
     pub(crate) busy: memcim_units::Seconds,
+    /// Whether a feed plan of this session passed static verification.
+    /// A plan's instruction sequence depends only on the stream count
+    /// and the engine width (window bits ride in fixed-width `Store`
+    /// payloads), so one verified plan vouches for every later one.
+    pub(crate) plan_verified: bool,
+    /// Windows dispatched so far; a placement service starts each
+    /// window's replica search here, so the session's feeds rotate
+    /// over each shard's replicas.
+    pub(crate) windows: u32,
     accounted_events: u64,
 }
 
@@ -283,6 +292,8 @@ impl SessionTable {
             threshold,
             energy: memcim_units::Joules::ZERO,
             busy: memcim_units::Seconds::ZERO,
+            plan_verified: false,
+            windows: 0,
             accounted_events: 0,
         }))))
     }
